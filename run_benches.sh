@@ -8,7 +8,7 @@
 # Usage: ./run_benches.sh [--quick]
 #   --quick  sets NDSM_BENCH_QUICK=1 so benches run reduced workloads —
 #            smoke-testing the harness, not producing publishable numbers.
-cd /root/repo
+cd "$(dirname "$0")"
 quick=0
 for arg in "$@"; do
   case "$arg" in
@@ -48,11 +48,10 @@ echo "wrote out/bench_output.txt and out/bench_metrics.jsonl ($(wc -l < out/benc
 
 # Regression + determinism gate: diff against the committed baseline
 # (10% threshold). bench_compare checks equality-gated fields exactly —
-# boolean invariants like bench_scale's digest_match must be true, and
-# *_digest values must match the baseline bit-for-bit — so the old
-# hand-rolled SCALE_DIGEST grep lives there now. Quick-mode numbers are
-# not comparable (reduced workloads), so quick runs apply only the
-# equality gates; full runs check everything.
+# boolean invariants like bench_chaos's all_deterministic must be true,
+# and *_digest values must match the baseline bit-for-bit. Quick-mode
+# numbers are not comparable (reduced workloads), so quick runs apply only
+# the equality gates; full runs check everything.
 if [ -f bench/baseline_metrics.jsonl ]; then
   if [ "$quick" -eq 1 ]; then
     if python3 scripts/bench_compare.py --equality-only \

@@ -69,18 +69,4 @@ Rng Rng::fork(std::uint64_t salt) {
   return Rng{splitmix64(state_ ^ salt), splitmix64(inc_ + salt)};
 }
 
-std::uint64_t hash_u64(std::uint64_t seed, std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-  // Chained splitmix64 over the key tuple; each component is folded in
-  // through the full avalanche so (a, b) and (b, a) decorrelate.
-  std::uint64_t h = splitmix64(seed ^ 0x9e3779b97f4a7c15ULL);
-  h = splitmix64(h ^ a);
-  h = splitmix64(h ^ b);
-  h = splitmix64(h ^ c);
-  return h;
-}
-
-double hash_uniform(std::uint64_t seed, std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-  return static_cast<double>(hash_u64(seed, a, b, c) >> 11) * (1.0 / 9007199254740992.0);
-}
-
 }  // namespace ndsm
