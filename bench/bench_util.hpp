@@ -119,7 +119,6 @@ struct Field {
   template <class RouterT, class... Args>
   void with_routers(Args... args) {
     node::StackConfig cfg;
-    cfg.router = node::RouterPolicy::kCustom;
     cfg.router_factory = [args...](net::Stack& stack) {
       return std::make_unique<RouterT>(stack, args...);
     };

@@ -11,14 +11,14 @@ namespace ndsm::net {
 
 FaultPlan::FaultPlan(World& world, std::uint64_t fault_seed)
     : world_(world), rng_(world.sim().rng().fork(fault_seed)) {
-  NDSM_INVARIANT(world_.fault_injector() == nullptr,
+  NDSM_INVARIANT(world_.fault_plan() == nullptr,
                  "a World supports at most one attached FaultPlan");
-  world_.set_fault_injector(this);
+  world_.set_fault_plan(this);
   register_metrics();
 }
 
 FaultPlan::~FaultPlan() {
-  if (world_.fault_injector() == this) world_.set_fault_injector(nullptr);
+  if (world_.fault_plan() == this) world_.set_fault_plan(nullptr);
   for (const EventId id : scheduled_) {
     if (id.valid()) world_.sim().cancel(id);
   }

@@ -26,7 +26,7 @@
 //     cannot depend on node::).
 //
 // Determinism: every draw comes from an Rng forked off the sim RNG at
-// construction, and the World consults the injector in its already
+// construction, and the World consults the plan in its already
 // deterministic (sorted) receiver order — so twin runs with the same sim
 // seed and the same fault script are byte-identical, event digest
 // included. No wall clock, no global randomness (lint-enforced).
@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "common/ids.hpp"
+#include "common/time.hpp"
 #include "net/world.hpp"
 #include "obs/metrics.hpp"
 
@@ -49,6 +50,16 @@ struct BurstLossSpec {
   double p_bad_to_good = 0.0;  // per-frame P(leave burst)
   double loss_good = 0.0;      // extra loss while good
   double loss_bad = 0.0;       // extra loss while bad
+};
+
+// Per-(frame, receiver) verdict from FaultPlan::on_frame. The duplicate
+// copy is always scheduled after the original with a non-negative extra
+// delay, so a duplicate can never overtake the frame it copies.
+struct FaultDecision {
+  bool drop = false;
+  bool duplicate = false;
+  Time extra_delay = 0;            // added to the medium's transmission delay
+  Time duplicate_extra_delay = 0;  // duplicate's delay beyond the original's
 };
 
 struct FaultStats {
@@ -65,15 +76,15 @@ struct FaultStats {
   std::uint64_t restarts = 0;
 };
 
-class FaultPlan final : public FaultInjector {
+class FaultPlan {
  public:
   using LifecycleHook = std::function<void(NodeId)>;
 
-  // Attaches itself as the world's fault injector. `fault_seed` salts the
+  // Attaches itself as the world's fault plan. `fault_seed` salts the
   // fork off the sim RNG, so two plans with the same script but different
   // seeds draw different (but each reproducible) fault sequences.
   explicit FaultPlan(World& world, std::uint64_t fault_seed = 0xfa017);
-  ~FaultPlan() override;
+  ~FaultPlan();
 
   FaultPlan(const FaultPlan&) = delete;
   FaultPlan& operator=(const FaultPlan&) = delete;
@@ -103,9 +114,8 @@ class FaultPlan final : public FaultInjector {
   [[nodiscard]] std::size_t active_partitions() const;
   [[nodiscard]] bool separated(NodeId a, NodeId b) const;
 
-  // FaultInjector: called by the World once per (frame, receiver).
-  FaultDecision on_frame(NodeId src, NodeId dst, MediumId medium,
-                         std::size_t wire_bytes) override;
+  // Called by the World once per (frame, receiver).
+  FaultDecision on_frame(NodeId src, NodeId dst, MediumId medium, std::size_t wire_bytes);
 
  private:
   struct Partition {

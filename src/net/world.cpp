@@ -7,6 +7,7 @@
 
 #include "common/audit.hpp"
 #include "common/log.hpp"
+#include "net/faults.hpp"
 #include "obs/trace.hpp"
 
 namespace ndsm::net {

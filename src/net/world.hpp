@@ -48,33 +48,13 @@ struct WorldStats {
   std::uint64_t grid_cells_scanned = 0;     // cells visited by grid queries
   std::uint64_t grid_candidates = 0;        // membership entries examined
   std::uint64_t payload_copies_avoided = 0; // receivers sharing a broadcast buffer
-  // Injected-fault outcomes (bumped when a FaultInjector is attached).
+  // Injected-fault outcomes (bumped when a FaultPlan is attached).
   std::uint64_t fault_drops = 0;       // frames the injector swallowed
   std::uint64_t fault_duplicates = 0;  // extra deliveries the injector added
   std::uint64_t fault_delays = 0;      // deliveries the injector jittered
 };
 
-// Per-(frame, receiver) verdict from an attached fault injector. The
-// duplicate copy is always scheduled after the original with a
-// non-negative extra delay, so a duplicate can never overtake the frame
-// it copies.
-struct FaultDecision {
-  bool drop = false;
-  bool duplicate = false;
-  Time extra_delay = 0;            // added to the medium's transmission delay
-  Time duplicate_extra_delay = 0;  // duplicate's delay beyond the original's
-};
-
-// Seam for deterministic fault injection (net::FaultPlan). Consulted once
-// per (frame, receiver) pair — after the medium's own loss draw, never for
-// loopback — in the same deterministic receiver order the World already
-// guarantees, so any randomness the injector uses stays reproducible.
-class FaultInjector {
- public:
-  virtual ~FaultInjector() = default;
-  virtual FaultDecision on_frame(NodeId src, NodeId dst, MediumId medium,
-                                 std::size_t wire_bytes) = 0;
-};
+class FaultPlan;
 
 class World {
  public:
@@ -156,11 +136,13 @@ class World {
   [[nodiscard]] const WorldStats& stats() const { return stats_; }
   void reset_stats();
 
-  // Attach (or detach, with nullptr) a fault injector. At most one at a
-  // time; the injector must outlive its attachment (FaultPlan detaches
-  // itself in its destructor).
-  void set_fault_injector(FaultInjector* injector) { faults_ = injector; }
-  [[nodiscard]] FaultInjector* fault_injector() const { return faults_; }
+  // Attach (or detach, with nullptr) a fault plan, consulted once per
+  // (frame, receiver) pair — after the medium's own loss draw, never for
+  // loopback — in the World's deterministic receiver order. At most one
+  // at a time; FaultPlan attaches itself on construction and detaches in
+  // its destructor.
+  void set_fault_plan(FaultPlan* plan) { faults_ = plan; }
+  [[nodiscard]] FaultPlan* fault_plan() const { return faults_; }
 
   // Per-frame loss probability combining the flat loss and the BER term
   // (exposed for tests and analytical sizing of transport parameters).
@@ -244,7 +226,7 @@ class World {
   mutable WorldStats stats_;
   mutable std::uint64_t audit_grid_queries_ = 0;  // sampling counter (NDSM_AUDIT)
   std::uint64_t audit_moves_ = 0;                 // sampling counter (NDSM_AUDIT)
-  FaultInjector* faults_ = nullptr;
+  FaultPlan* faults_ = nullptr;
   DeathHandler on_death_;
   mutable std::vector<NodeId> scratch_;  // candidate buffer for grid queries
   // Declared last: the registry views point at stats_/nodes_ above.

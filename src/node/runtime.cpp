@@ -68,13 +68,8 @@ std::unique_ptr<routing::Router> Runtime::make_router() {
       return std::make_unique<routing::DistanceVectorRouter>(*stack_,
                                                              config_.dv_update_period);
     case RouterPolicy::kFlooding:
-      return std::make_unique<routing::FloodingRouter>(*stack_);
-    case RouterPolicy::kGeographic:
-      return std::make_unique<routing::GeoRouter>(*stack_, config_.geo_hello_period);
-    case RouterPolicy::kCustom:
       break;
   }
-  assert(false && "RouterPolicy::kCustom requires a router_factory");
   return std::make_unique<routing::FloodingRouter>(*stack_);
 }
 

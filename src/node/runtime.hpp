@@ -14,7 +14,7 @@
 //   * registers the node with the World (or adopts an existing NodeId, or
 //     adopts the identity of the supplied stack),
 //   * builds the router according to the configured policy (global /
-//     distance-vector / flooding / geographic, or a custom factory),
+//     distance-vector / flooding), or through a custom factory,
 //   * builds the reliable transport on top,
 //   * hosts a service container: named services with a uniform
 //     start/stop lifecycle, constructed by stored factories so they can
@@ -49,7 +49,6 @@
 #include "recovery/storage.hpp"
 #include "routing/distance_vector.hpp"
 #include "routing/flooding.hpp"
-#include "routing/geographic.hpp"
 #include "routing/global.hpp"
 #include "transport/reliable.hpp"
 
@@ -59,13 +58,11 @@ class Runtime;
 
 // How the node routes. kGlobal shares a middleware-computed table
 // (StackConfig::table); the others run their distributed protocol
-// per-node. kCustom uses StackConfig::router_factory.
+// per-node. Any other router comes from StackConfig::router_factory.
 enum class RouterPolicy : std::uint8_t {
   kGlobal,
   kDistanceVector,
   kFlooding,
-  kGeographic,
-  kCustom,
 };
 
 struct StackConfig {
@@ -76,9 +73,8 @@ struct StackConfig {
   std::shared_ptr<routing::GlobalRoutingTable> table;
   routing::Metric metric = routing::Metric::kHopCount;  // for a lazily made table
   Time dv_update_period = duration::seconds(5);         // kDistanceVector
-  Time geo_hello_period = duration::seconds(2);         // kGeographic
-  // kCustom (or any policy override): build the router yourself. Stored,
-  // so restart() rebuilds through the same factory.
+  // When set, overrides `router`: build the router yourself (e.g. a
+  // GeoRouter). Stored, so restart() rebuilds through the same factory.
   std::function<std::unique_ptr<routing::Router>(net::Stack&)> router_factory;
   transport::TransportConfig transport;
   // Used only by the node-creating constructor:

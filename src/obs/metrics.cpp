@@ -4,7 +4,6 @@
 #include <cassert>
 #include <fstream>
 #include <iomanip>
-#include <unordered_set>
 
 #include "obs/json.hpp"
 
@@ -66,97 +65,49 @@ MetricsRegistry& MetricsRegistry::instance() {
   return registry;
 }
 
-MetricId MetricsRegistry::add_counter(std::string name, MetricLabels labels,
-                                      const std::uint64_t* source) {
-  assert(source != nullptr);
-  Metric m;
-  m.id = next_id_++;
-  m.kind = MetricKind::kCounter;
-  m.name = std::move(name);
-  m.labels = std::move(labels);
-  m.counter_ptr = source;
-  metrics_.push_back(std::move(m));
-  return metrics_.back().id;
+MetricGroup::MetricGroup(MetricsRegistry& registry) : registry_(&registry), prev_(registry.tail_) {
+  (prev_ != nullptr ? prev_->next_ : registry_->head_) = this;
+  registry_->tail_ = this;
 }
 
-MetricId MetricsRegistry::add_counter_fn(std::string name, MetricLabels labels,
-                                         std::function<std::uint64_t()> source) {
-  Metric m;
-  m.id = next_id_++;
-  m.kind = MetricKind::kCounter;
-  m.name = std::move(name);
-  m.labels = std::move(labels);
-  m.counter_fn = std::move(source);
-  metrics_.push_back(std::move(m));
-  return metrics_.back().id;
+MetricGroup::~MetricGroup() {
+  (prev_ != nullptr ? prev_->next_ : registry_->head_) = next_;
+  (next_ != nullptr ? next_->prev_ : registry_->tail_) = prev_;
 }
 
-MetricId MetricsRegistry::add_gauge(std::string name, MetricLabels labels,
-                                    std::function<double()> source) {
-  Metric m;
-  m.id = next_id_++;
-  m.kind = MetricKind::kGauge;
-  m.name = std::move(name);
-  m.labels = std::move(labels);
-  m.gauge_fn = std::move(source);
-  metrics_.push_back(std::move(m));
-  return metrics_.back().id;
+std::size_t MetricsRegistry::size() const {
+  std::size_t n = 0;
+  for (const MetricGroup* g = head_; g != nullptr; g = g->next_) n += g->metrics_.size();
+  return n;
 }
-
-Histogram* MetricsRegistry::add_histogram(std::string name, MetricLabels labels,
-                                          std::vector<double> upper_bounds, MetricId* id_out) {
-  Metric m;
-  m.id = next_id_++;
-  m.kind = MetricKind::kHistogram;
-  m.name = std::move(name);
-  m.labels = std::move(labels);
-  m.hist = std::make_unique<Histogram>(std::move(upper_bounds));
-  Histogram* out = m.hist.get();
-  if (id_out != nullptr) *id_out = m.id;
-  metrics_.push_back(std::move(m));
-  return out;
-}
-
-void MetricsRegistry::remove(MetricId id) {
-  metrics_.erase(std::remove_if(metrics_.begin(), metrics_.end(),
-                                [id](const Metric& m) { return m.id == id; }),
-                 metrics_.end());
-}
-
-void MetricsRegistry::remove_all(const std::vector<MetricId>& ids) {
-  if (ids.empty()) return;
-  const std::unordered_set<MetricId> doomed(ids.begin(), ids.end());
-  metrics_.erase(std::remove_if(metrics_.begin(), metrics_.end(),
-                                [&doomed](const Metric& m) { return doomed.count(m.id) > 0; }),
-                 metrics_.end());
-}
-
-void MetricsRegistry::clear() { metrics_.clear(); }
 
 std::vector<MetricSample> MetricsRegistry::snapshot() const {
   std::vector<MetricSample> out;
-  out.reserve(metrics_.size());
-  for (const Metric& m : metrics_) {
-    MetricSample s;
-    s.kind = m.kind;
-    s.name = m.name;
-    s.labels = m.labels;
-    switch (m.kind) {
-      case MetricKind::kCounter:
-        s.value = static_cast<double>(m.counter_ptr != nullptr ? *m.counter_ptr
-                                                               : m.counter_fn());
-        break;
-      case MetricKind::kGauge:
-        s.value = m.gauge_fn();
-        break;
-      case MetricKind::kHistogram:
-        s.hist = m.hist.get();
-        s.value = static_cast<double>(m.hist->count());
-        break;
+  out.reserve(size());
+  for (const MetricGroup* g = head_; g != nullptr; g = g->next_) {
+    for (const MetricGroup::Metric& m : g->metrics_) {
+      MetricSample s;
+      s.kind = m.kind;
+      s.name = m.name;
+      s.labels = m.labels;
+      switch (m.kind) {
+        case MetricKind::kCounter:
+          s.value = static_cast<double>(m.counter_ptr != nullptr ? *m.counter_ptr
+                                                                 : m.counter_fn());
+          break;
+        case MetricKind::kGauge:
+          s.value = m.gauge_fn();
+          break;
+        case MetricKind::kHistogram:
+          s.hist = m.hist.get();
+          s.value = static_cast<double>(m.hist->count());
+          break;
+      }
+      out.push_back(std::move(s));
     }
-    out.push_back(std::move(s));
   }
-  std::sort(out.begin(), out.end(), [](const MetricSample& a, const MetricSample& b) {
+  // Stable: equal keys keep list order, so the export is fully determined.
+  std::stable_sort(out.begin(), out.end(), [](const MetricSample& a, const MetricSample& b) {
     if (a.name != b.name) return a.name < b.name;
     if (a.labels.component != b.labels.component) return a.labels.component < b.labels.component;
     return a.labels.node < b.labels.node;

@@ -6,21 +6,24 @@
 // Design constraints, in order:
 //   1. Hot paths stay hot. Subsystem stats remain plain uint64_t bumps on
 //      structs the subsystem owns (`WorldStats`, `TransportStats`, ...).
-//      The registry holds *views* — a pointer or a pull callback — that
-//      are only dereferenced at export time. Registering a metric costs a
-//      couple of allocations once, per component instance; reading the
-//      counter costs nothing extra, ever.
+//      A metric is a *view* — a pointer or a pull callback — that is only
+//      dereferenced at export time. Registering a metric costs a couple of
+//      allocations once, per component instance; reading the counter costs
+//      nothing extra, ever.
 //   2. Every metric carries a `layer.subsystem.metric` name plus labels
 //      (component instance name, node id) so per-node series from 400-node
 //      fields stay distinguishable in one flat export.
-//   3. Components unregister automatically: they hold a MetricGroup whose
-//      destructor removes everything it registered, so short-lived Worlds
-//      and transports in tests never leave dangling views behind.
+//   3. One owner per metric. Components hold a MetricGroup, which stores
+//      the metrics it registers; the registry is only the intrusive list
+//      of live groups, in construction order. Destroying a group unlinks
+//      it in O(1) and frees its metrics with it, so short-lived Worlds and
+//      transports in tests never leave dangling views behind.
 //
-// Histograms are the one metric kind with registry-adjacent storage (a
-// fixed bucket array, pointer-stable). observe() is a short linear scan
-// over the bounds — cheap enough for per-message paths.
+// Histograms are the one metric kind with group-owned storage (a fixed
+// bucket array, pointer-stable). observe() is a short linear scan over the
+// bounds — cheap enough for per-message paths.
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -84,10 +87,8 @@ class Histogram {
 [[nodiscard]] double quantile_from(const std::vector<double>& bounds,
                                    const std::vector<std::uint64_t>& counts, double q);
 
-using MetricId = std::uint64_t;
-
 // Snapshot row produced by MetricsRegistry::snapshot(); `hist` is only set
-// for histogram rows and points at registry-owned storage.
+// for histogram rows and points at group-owned storage.
 struct MetricSample {
   MetricKind kind = MetricKind::kCounter;
   std::string name;
@@ -96,6 +97,9 @@ struct MetricSample {
   const Histogram* hist = nullptr;
 };
 
+class MetricGroup;
+
+// The list of live MetricGroups; exports whatever they own.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -105,30 +109,12 @@ class MetricsRegistry {
   // Process-wide default registry; what instrumented middleware layers use.
   static MetricsRegistry& instance();
 
-  // Counter view over a subsystem-owned uint64_t. The pointee must outlive
-  // the registration (components guarantee this by holding the MetricGroup
-  // as a member next to their stats struct).
-  MetricId add_counter(std::string name, MetricLabels labels, const std::uint64_t* source);
-  // Counter pulled through a callback (for sources without a stable
-  // address, e.g. per-node stats inside a reallocating vector).
-  MetricId add_counter_fn(std::string name, MetricLabels labels,
-                          std::function<std::uint64_t()> source);
-  // Gauges are always pull-based: sampled at export time.
-  MetricId add_gauge(std::string name, MetricLabels labels, std::function<double()> source);
-  // Registry-owned histogram storage; the returned pointer is stable until
-  // the metric is removed.
-  Histogram* add_histogram(std::string name, MetricLabels labels,
-                           std::vector<double> upper_bounds, MetricId* id_out = nullptr);
+  // Metrics across all live groups.
+  [[nodiscard]] std::size_t size() const;
 
-  void remove(MetricId id);
-  // Single-pass removal; what MetricGroup uses so tearing down a 400-node
-  // World is O(registry) rather than O(registry * group).
-  void remove_all(const std::vector<MetricId>& ids);
-
-  [[nodiscard]] std::size_t size() const { return metrics_.size(); }
-  void clear();
-
-  // All metrics, sampled now, sorted by (name, component, node).
+  // All metrics, sampled now, sorted by (name, component, node); equal
+  // keys keep registration order within a group, groups in construction
+  // order.
   [[nodiscard]] std::vector<MetricSample> snapshot() const;
 
   // Human-readable aligned table (counters/gauges one row each, histograms
@@ -146,29 +132,21 @@ class MetricsRegistry {
   bool dump_jsonl(const std::string& path) const;
 
  private:
-  struct Metric {
-    MetricId id = 0;
-    MetricKind kind = MetricKind::kCounter;
-    std::string name;
-    MetricLabels labels;
-    const std::uint64_t* counter_ptr = nullptr;
-    std::function<std::uint64_t()> counter_fn;
-    std::function<double()> gauge_fn;
-    std::unique_ptr<Histogram> hist;
-  };
+  friend class MetricGroup;
 
-  MetricId next_id_ = 1;
-  std::vector<Metric> metrics_;
+  MetricGroup* head_ = nullptr;
+  MetricGroup* tail_ = nullptr;
 };
 
-// RAII bundle of registrations: everything added through a group is
-// removed when the group is destroyed (or clear()ed). Instrumented
-// components hold one as a member, declared after the stats it exposes.
+// RAII owner of a component's metrics: everything registered through a
+// group lives in it and disappears from the registry when the group is
+// destroyed. Instrumented components hold one as a member, declared after
+// the stats it exposes. A group must not outlive its registry.
 class MetricGroup {
  public:
-  MetricGroup() : registry_(&MetricsRegistry::instance()) {}
-  explicit MetricGroup(MetricsRegistry& registry) : registry_(&registry) {}
-  ~MetricGroup() { clear(); }
+  MetricGroup() : MetricGroup(MetricsRegistry::instance()) {}
+  explicit MetricGroup(MetricsRegistry& registry);
+  ~MetricGroup();
 
   MetricGroup(const MetricGroup&) = delete;
   MetricGroup& operator=(const MetricGroup&) = delete;
@@ -179,31 +157,55 @@ class MetricGroup {
   }
   [[nodiscard]] const MetricLabels& labels() const { return labels_; }
 
+  // Counter view over a subsystem-owned uint64_t. The pointee must outlive
+  // the group (components guarantee this by declaring the group after
+  // their stats struct).
   void counter(std::string name, const std::uint64_t* source) {
-    owned_.push_back(registry_->add_counter(std::move(name), labels_, source));
+    assert(source != nullptr);
+    add(MetricKind::kCounter, std::move(name)).counter_ptr = source;
   }
+  // Counter pulled through a callback (for sources without a stable
+  // address, e.g. per-node stats inside a reallocating vector).
   void counter_fn(std::string name, std::function<std::uint64_t()> source) {
-    owned_.push_back(registry_->add_counter_fn(std::move(name), labels_, std::move(source)));
+    add(MetricKind::kCounter, std::move(name)).counter_fn = std::move(source);
   }
+  // Gauges are always pull-based: sampled at export time.
   void gauge(std::string name, std::function<double()> source) {
-    owned_.push_back(registry_->add_gauge(std::move(name), labels_, std::move(source)));
+    add(MetricKind::kGauge, std::move(name)).gauge_fn = std::move(source);
   }
+  // Group-owned histogram; the reference is stable for the group's life.
   Histogram& histogram(std::string name, std::vector<double> upper_bounds) {
-    MetricId id = 0;
-    Histogram* h = registry_->add_histogram(std::move(name), labels_, std::move(upper_bounds), &id);
-    owned_.push_back(id);
-    return *h;
-  }
-
-  void clear() {
-    registry_->remove_all(owned_);
-    owned_.clear();
+    Metric& m = add(MetricKind::kHistogram, std::move(name));
+    m.hist = std::make_unique<Histogram>(std::move(upper_bounds));
+    return *m.hist;
   }
 
  private:
+  friend class MetricsRegistry;
+
+  struct Metric {
+    MetricKind kind = MetricKind::kCounter;
+    std::string name;
+    MetricLabels labels;
+    const std::uint64_t* counter_ptr = nullptr;
+    std::function<std::uint64_t()> counter_fn;
+    std::function<double()> gauge_fn;
+    std::unique_ptr<Histogram> hist;
+  };
+
+  Metric& add(MetricKind kind, std::string name) {
+    Metric& m = metrics_.emplace_back();
+    m.kind = kind;
+    m.name = std::move(name);
+    m.labels = labels_;
+    return m;
+  }
+
   MetricsRegistry* registry_;
+  MetricGroup* prev_ = nullptr;  // registry list links
+  MetricGroup* next_ = nullptr;
   MetricLabels labels_;
-  std::vector<MetricId> owned_;
+  std::vector<Metric> metrics_;
 };
 
 }  // namespace ndsm::obs

@@ -114,29 +114,4 @@ void Simulator::run_all(std::size_t max_events) {
   }
 }
 
-void PeriodicTimer::start(Time initial_delay) {
-  stop();
-  running_ = true;
-  arm(initial_delay >= 0 ? initial_delay : interval_);
-}
-
-void PeriodicTimer::stop() {
-  if (pending_.valid()) {
-    sim_.cancel(pending_);
-    pending_ = EventId::invalid();
-  }
-  running_ = false;
-}
-
-void PeriodicTimer::arm(Time delay) {
-  pending_ = sim_.schedule_after(delay, [this] {
-    pending_ = EventId::invalid();
-    if (!running_) return;
-    fn_();
-    // A handler that called start() already armed the next firing; arming
-    // again here would leave a duplicate, uncancellable event in flight.
-    if (running_ && !pending_.valid()) arm(interval_);
-  });
-}
-
 }  // namespace ndsm::sim

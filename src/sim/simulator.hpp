@@ -21,6 +21,7 @@
 #include "common/audit.hpp"
 #include "common/clock.hpp"
 #include "common/ids.hpp"
+#include "common/periodic_timer.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "obs/flight.hpp"
@@ -156,35 +157,6 @@ class Simulator {
   obs::MetricGroup metrics_;
 };
 
-// Fires a callback every `interval` until stopped or destroyed. Used for
-// advertisement/heartbeat/route-update periodics throughout the stack.
-class PeriodicTimer {
- public:
-  PeriodicTimer(Simulator& sim, Time interval, std::function<void()> fn)
-      : sim_(sim), interval_(interval), fn_(std::move(fn)) {}
-  ~PeriodicTimer() { stop(); }
-
-  PeriodicTimer(const PeriodicTimer&) = delete;
-  PeriodicTimer& operator=(const PeriodicTimer&) = delete;
-
-  // Start (or restart) the timer; first firing after `initial_delay`
-  // (defaults to the interval).
-  void start(Time initial_delay = -1);
-  void stop();
-  [[nodiscard]] bool running() const { return running_; }
-  // Takes effect when the timer next re-arms; an already-armed tick keeps
-  // its old deadline (pinned by EdgeTimer.SetIntervalTakesEffectNextArm).
-  void set_interval(Time interval) { interval_ = interval; }
-  [[nodiscard]] Time interval() const { return interval_; }
-
- private:
-  void arm(Time delay);
-
-  Simulator& sim_;
-  Time interval_;
-  std::function<void()> fn_;
-  EventId pending_ = EventId::invalid();
-  bool running_ = false;
-};
+using PeriodicTimer = BasicPeriodicTimer<Simulator>;
 
 }  // namespace ndsm::sim

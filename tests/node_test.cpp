@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <tuple>
 
 #include "discovery/centralized.hpp"
 #include "discovery/directory_server.hpp"
+#include "obs/trace.hpp"
 #include "test_helpers.hpp"
 #include "transactions/rpc.hpp"
 
@@ -60,6 +63,38 @@ TEST(NodeRuntime, CrashAndRestartAreIdempotent) {
   EXPECT_EQ(rt.stats().crashes, 1u);
   rt.restart();
   EXPECT_TRUE(rt.up());
+}
+
+TEST(NodeRuntime, CrashRestartCyclesNeitherLeakNorLoseMetrics) {
+  Lan lan{3};
+  Runtime& rt = lan.runtime(1);
+  rt.add_service<discovery::DirectoryServer>("directory", [](Runtime& r) {
+    return std::make_unique<discovery::DirectoryServer>(
+        r.transport(), duration::seconds(1), &r.storage("directory"));
+  });
+  obs::Tracer::instance();  // registers its own metrics on first use (a crash)
+  const auto& registry = obs::MetricsRegistry::instance();
+  const auto keys = [&registry] {
+    std::multiset<std::tuple<std::string, std::string, std::int64_t>> out;
+    for (const auto& s : registry.snapshot()) {
+      out.emplace(s.name, s.labels.component, s.labels.node);
+    }
+    return out;
+  };
+  const std::size_t size_before = registry.size();
+  const auto keys_before = keys();
+  ASSERT_EQ(keys_before.count({"transport.reliable.messages_sent", "transport.reliable",
+                               static_cast<std::int64_t>(rt.id().value())}),
+            1u);
+  for (int i = 0; i < 20; ++i) {
+    rt.crash();
+    lan.sim.run_until(lan.sim.now() + duration::millis(100));
+    rt.restart();
+    lan.sim.run_until(lan.sim.now() + duration::millis(100));
+  }
+  EXPECT_EQ(rt.stats().restarts, 20u);
+  EXPECT_EQ(registry.size(), size_before);
+  EXPECT_EQ(keys(), keys_before);
 }
 
 TEST(NodeRuntime, SendWhileCrashedFailsCleanly) {

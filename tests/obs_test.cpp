@@ -40,8 +40,10 @@ const MetricSample* find_sample(const std::vector<MetricSample>& samples,
 
 TEST(Metrics, CounterViewTracksSource) {
   MetricsRegistry reg;
+  MetricGroup g{reg};
   std::uint64_t hits = 0;
-  reg.add_counter("test.hits", {"test", 3}, &hits);
+  g.set_labels("test", 3);
+  g.counter("test.hits", &hits);
   hits = 41;
   hits++;
   const auto samples = reg.snapshot();
@@ -55,10 +57,11 @@ TEST(Metrics, CounterViewTracksSource) {
 
 TEST(Metrics, CounterFnAndGaugeArePullBased) {
   MetricsRegistry reg;
+  MetricGroup g{reg};
   std::uint64_t pulls = 0;
-  reg.add_counter_fn("test.pulls", {}, [&] { return ++pulls; });
+  g.counter_fn("test.pulls", [&] { return ++pulls; });
   double level = 0.25;
-  reg.add_gauge("test.level", {}, [&] { return level; });
+  g.gauge("test.level", [&] { return level; });
   auto samples = reg.snapshot();
   EXPECT_DOUBLE_EQ(find_sample(samples, "test.pulls")->value, 1.0);
   EXPECT_DOUBLE_EQ(find_sample(samples, "test.level")->value, 0.25);
@@ -70,10 +73,14 @@ TEST(Metrics, CounterFnAndGaugeArePullBased) {
 
 TEST(Metrics, SnapshotSortedByNameComponentNode) {
   MetricsRegistry reg;
+  MetricGroup g{reg};
   std::uint64_t v = 0;
-  reg.add_counter("b.metric", {"x", 2}, &v);
-  reg.add_counter("a.metric", {"x", -1}, &v);
-  reg.add_counter("b.metric", {"x", 1}, &v);
+  g.set_labels("x", 2);
+  g.counter("b.metric", &v);
+  g.set_labels("x", -1);
+  g.counter("a.metric", &v);
+  g.set_labels("x", 1);
+  g.counter("b.metric", &v);
   const auto samples = reg.snapshot();
   ASSERT_EQ(samples.size(), 3u);
   EXPECT_EQ(samples[0].name, "a.metric");
@@ -94,6 +101,43 @@ TEST(Metrics, GroupUnregistersOnDestruction) {
   }
   EXPECT_EQ(reg.size(), 0u);
   EXPECT_TRUE(reg.snapshot().empty());
+}
+
+TEST(Metrics, OutOfOrderGroupDestructionKeepsExportOrder) {
+  MetricsRegistry reg;
+  const std::uint64_t v[] = {0, 1, 2, 3};
+  using Rows = std::vector<std::pair<std::string, double>>;
+  const auto rows = [&reg] {
+    Rows out;
+    for (const auto& s : reg.snapshot()) {
+      out.emplace_back(s.labels.component + ":" + s.name, s.value);
+    }
+    return out;
+  };
+  auto a = std::make_unique<MetricGroup>(reg);
+  auto b = std::make_unique<MetricGroup>(reg);
+  auto c = std::make_unique<MetricGroup>(reg);
+  b->set_labels("mid");
+  // Registrations interleave across groups; a and c share one key.
+  a->counter("k.same", &v[1]);
+  b->counter("k.mid", &v[0]);
+  a->counter("k.same", &v[2]);
+  c->counter("a.first", &v[0]);
+  c->counter("k.same", &v[3]);
+  b->counter("z.last", &v[0]);
+
+  Rows expected = rows();
+  std::erase_if(expected, [](const auto& r) { return r.first.starts_with("mid:"); });
+  b.reset();  // the middle group goes first
+  EXPECT_EQ(rows(), expected);
+  // Equal (name, component, node) keys keep registration order.
+  EXPECT_EQ(expected, (Rows{{":a.first", 0}, {":k.same", 1}, {":k.same", 2}, {":k.same", 3}}));
+
+  MetricGroup d{reg};  // a group made after the unlink joins at the tail
+  d.counter("k.same", &v[0]);
+  a.reset();
+  EXPECT_EQ(rows(), (Rows{{":a.first", 0}, {":k.same", 3}, {":k.same", 0}}));
+  EXPECT_EQ(reg.size(), 3u);
 }
 
 TEST(Metrics, HistogramBucketsAndOverflow) {
@@ -118,10 +162,13 @@ TEST(Metrics, HistogramBucketsAndOverflow) {
 
 TEST(Metrics, JsonlEscapesAndRendersHistograms) {
   MetricsRegistry reg;
+  MetricGroup g{reg};
   std::uint64_t v = 3;
-  reg.add_counter("test.weird", {"comp\"quote\\slash\n", 1}, &v);
-  Histogram* h = reg.add_histogram("test.hist", {}, {1.0, 2.0});
-  h->observe(1.5);
+  g.set_labels("comp\"quote\\slash\n", 1);
+  g.counter("test.weird", &v);
+  g.set_labels("");
+  Histogram& h = g.histogram("test.hist", {1.0, 2.0});
+  h.observe(1.5);
   std::ostringstream out;
   reg.write_jsonl(out);
   const std::string text = out.str();
@@ -368,8 +415,9 @@ TEST(Metrics, HistogramQuantileInterpolates) {
 
   // write_table renders the three canonical percentiles per histogram row.
   MetricsRegistry reg;
-  Histogram* rh = reg.add_histogram("test.latency", {}, {10, 20, 30});
-  rh->observe(15.0);
+  MetricGroup g{reg};
+  Histogram& rh = g.histogram("test.latency", {10, 20, 30});
+  rh.observe(15.0);
   std::ostringstream table;
   reg.write_table(table);
   EXPECT_NE(table.str().find("p50="), std::string::npos);
