@@ -1,10 +1,8 @@
 #include "discovery/directory_server.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "obs/trace.hpp"
-#include "qos/matcher.hpp"
 
 namespace ndsm::discovery {
 
@@ -84,22 +82,12 @@ void DirectoryServer::apply_unregister(ServiceId id, bool replicate_out) {
 
 std::vector<ServiceRecord> DirectoryServer::match(const qos::ConsumerQos& consumer,
                                                   std::uint32_t max_results) const {
-  std::vector<std::pair<double, const ServiceRecord*>> scored;
   const Time now = transport_.router().stack().now();
+  std::vector<const ServiceRecord*> live;
   for (const auto& [id, rec] : records_) {
-    if (rec.expired(now)) continue;
-    const auto eval = qos::Matcher::evaluate(consumer, rec.qos);
-    if (eval.feasible) scored.emplace_back(eval.score, &rec);
+    if (!rec.expired(now)) live.push_back(&rec);
   }
-  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first > b.first : a.second->id < b.second->id;
-  });
-  std::vector<ServiceRecord> out;
-  for (const auto& [score, rec] : scored) {
-    if (out.size() >= max_results) break;
-    out.push_back(*rec);
-  }
-  return out;
+  return rank_matches(consumer, live, max_results);
 }
 
 void DirectoryServer::replicate(const ServiceRecord& record, bool removal) {

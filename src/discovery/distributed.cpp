@@ -1,9 +1,5 @@
 #include "discovery/distributed.hpp"
 
-#include <algorithm>
-
-#include "qos/matcher.hpp"
-
 namespace ndsm::discovery {
 
 DistributedDiscovery::DistributedDiscovery(transport::ReliableTransport& transport,
@@ -59,53 +55,29 @@ void DistributedDiscovery::unregister_service(ServiceId id) {
   if (local_.erase(id) > 0) stats_.unregistrations++;
 }
 
-std::vector<ServiceRecord> DistributedDiscovery::match_local(
-    const qos::ConsumerQos& consumer, std::uint32_t max_results) const {
+std::vector<ServiceRecord> DistributedDiscovery::match(const qos::ConsumerQos& consumer,
+                                                       std::uint32_t max_results,
+                                                       bool with_cache) {
   const Time now = transport_.router().stack().now();
+  std::vector<const ServiceRecord*> live;
   // Local records renew automatically while this node lives: refresh their
   // leases before matching (the ServiceDiscovery contract; expiry only
   // governs *remote* copies).
-  auto& self = const_cast<DistributedDiscovery&>(*this);
-  for (auto& [id, rec] : self.local_) {
+  for (auto& [id, rec] : local_) {
     const Time lease = local_lease_.at(id);
     rec.expires = lease == kTimeNever ? kTimeNever : now + lease;
+    if (!rec.expired(now)) live.push_back(&rec);
   }
-  std::vector<std::pair<double, const ServiceRecord*>> scored;
-  for (const auto& [id, rec] : local_) {
-    if (rec.expired(now)) continue;
-    const auto eval = qos::Matcher::evaluate(consumer, rec.qos);
-    if (eval.feasible) scored.emplace_back(eval.score, &rec);
+  // Cached records are other nodes' (own advertisements are not cached),
+  // so no id appears twice.
+  if (with_cache) {
+    for (const auto& [id, rec] : cache_) {
+      if (!rec.expired(now) && now - rec.registered <= config_.cache_entry_ttl) {
+        live.push_back(&rec);
+      }
+    }
   }
-  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first > b.first : a.second->id < b.second->id;
-  });
-  std::vector<ServiceRecord> out;
-  for (const auto& [score, rec] : scored) {
-    if (out.size() >= max_results) break;
-    out.push_back(*rec);
-  }
-  return out;
-}
-
-std::vector<ServiceRecord> DistributedDiscovery::match_cache(
-    const qos::ConsumerQos& consumer, std::uint32_t max_results) const {
-  const Time now = transport_.router().stack().now();
-  std::vector<std::pair<double, const ServiceRecord*>> scored;
-  for (const auto& [id, rec] : cache_) {
-    if (rec.expired(now)) continue;
-    if (now - rec.registered > config_.cache_entry_ttl) continue;  // stale cache entry
-    const auto eval = qos::Matcher::evaluate(consumer, rec.qos);
-    if (eval.feasible) scored.emplace_back(eval.score, &rec);
-  }
-  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first > b.first : a.second->id < b.second->id;
-  });
-  std::vector<ServiceRecord> out;
-  for (const auto& [score, rec] : scored) {
-    if (out.size() >= max_results) break;
-    out.push_back(*rec);
-  }
-  return out;
+  return rank_matches(consumer, live, max_results);
 }
 
 void DistributedDiscovery::advertise() {
@@ -136,18 +108,9 @@ void DistributedDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback
   stats_.queries_issued++;
 
   if (config_.answer_from_cache && config_.advertise_period > 0) {
-    auto cached = match_cache(consumer, max_results);
-    auto own = match_local(consumer, max_results);
-    for (auto& rec : own) cached.push_back(std::move(rec));
-    if (!cached.empty()) {
-      // Deduplicate and deliver asynchronously (callers expect async).
-      std::map<ServiceId, ServiceRecord> dedup;
-      for (auto& rec : cached) dedup.emplace(rec.id, std::move(rec));
-      std::vector<ServiceRecord> out;
-      for (auto& [id, rec] : dedup) {
-        if (out.size() >= max_results) break;
-        out.push_back(std::move(rec));
-      }
+    auto out = match(consumer, max_results, /*with_cache=*/true);
+    if (!out.empty()) {
+      // Deliver asynchronously (callers expect async).
       stats_.queries_answered++;
       stats_.records_received += out.size();
       stack.schedule_after(0, [cb = std::move(callback), out = std::move(out)]() mutable {
@@ -167,6 +130,7 @@ void DistributedDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback
 
   PendingQuery pending;
   pending.callback = std::move(callback);
+  pending.consumer = consumer;
   pending.max_results = max_results;
   pending.timer = stack.schedule_after(timeout, [this, query_id] { finish_query(query_id); });
   pending_.emplace(query_id, std::move(pending));
@@ -179,8 +143,9 @@ void DistributedDiscovery::finish_query(std::uint64_t query_id) {
   if (it == pending_.end()) return;
   if (it->second.timer.valid()) transport_.router().stack().cancel(it->second.timer);
   auto cb = std::move(it->second.callback);
-  std::vector<ServiceRecord> out;
-  for (auto& [id, rec] : it->second.collected) out.push_back(std::move(rec));
+  std::vector<const ServiceRecord*> collected;
+  for (const auto& [id, rec] : it->second.collected) collected.push_back(&rec);
+  auto out = rank_matches(it->second.consumer, collected, it->second.max_results);
   pending_.erase(it);
   if (out.empty()) {
     stats_.queries_empty++;
@@ -204,7 +169,7 @@ void DistributedDiscovery::on_flood(NodeId origin, const Bytes& frame) {
       // Our own flood is also delivered locally; match local services in
       // both cases, but self-replies short-circuit through the transport
       // loopback path.
-      auto records = match_local(query->consumer, query->max_results);
+      auto records = match(query->consumer, query->max_results, /*with_cache=*/false);
       if (records.empty()) return;
       QueryReply reply;
       reply.query_id = query->query_id;

@@ -40,6 +40,7 @@ class DistributedDiscovery : public ServiceDiscovery {
  private:
   struct PendingQuery {
     QueryCallback callback;
+    qos::ConsumerQos consumer;  // ranks the collected replies
     std::uint32_t max_results = 0;
     std::map<ServiceId, ServiceRecord> collected;
     EventId timer = EventId::invalid();
@@ -49,10 +50,9 @@ class DistributedDiscovery : public ServiceDiscovery {
   void on_unicast(NodeId src, const Bytes& frame);      // query replies
   void advertise();
   void finish_query(std::uint64_t query_id);
-  [[nodiscard]] std::vector<ServiceRecord> match_local(const qos::ConsumerQos& consumer,
-                                                       std::uint32_t max_results) const;
-  [[nodiscard]] std::vector<ServiceRecord> match_cache(const qos::ConsumerQos& consumer,
-                                                       std::uint32_t max_results) const;
+  // Own services, plus fresh advertisement-cache entries `with_cache`.
+  [[nodiscard]] std::vector<ServiceRecord> match(const qos::ConsumerQos& consumer,
+                                                 std::uint32_t max_results, bool with_cache);
 
   transport::ReliableTransport& transport_;
   DistributedConfig config_;
@@ -60,7 +60,7 @@ class DistributedDiscovery : public ServiceDiscovery {
   std::uint64_t next_query_ = 1;
   // Ordered: advertise() serializes local_ straight into flooded
   // advertisement packets, so iteration order is wire bytes. cache_
-  // matches local_ for symmetry (its matches are re-sorted by score).
+  // matches local_ for symmetry (matches are ranked by score).
   std::map<ServiceId, ServiceRecord> local_;
   std::map<ServiceId, Time> local_lease_;  // for automatic renewal
   std::map<ServiceId, ServiceRecord> cache_;  // from advertisements

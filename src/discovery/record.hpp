@@ -30,4 +30,11 @@ struct ServiceRecord {
 void encode_records(serialize::Writer& w, const std::vector<ServiceRecord>& records);
 std::optional<std::vector<ServiceRecord>> decode_records(serialize::Reader& r);
 
+// The ServiceDiscovery answer order: the records among `candidates` that
+// satisfy `consumer`, best QoS score first (ties by ServiceId), at most
+// `max_results` of them.
+[[nodiscard]] std::vector<ServiceRecord> rank_matches(
+    const qos::ConsumerQos& consumer, const std::vector<const ServiceRecord*>& candidates,
+    std::uint32_t max_results);
+
 }  // namespace ndsm::discovery

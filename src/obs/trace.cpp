@@ -107,11 +107,6 @@ void Tracer::event_traced(const char* component, const char* name, std::int64_t 
 
 std::size_t Tracer::size() const { return ring_.size(); }
 
-void Tracer::set_capacity(std::size_t capacity) {
-  capacity_ = capacity == 0 ? 1 : capacity;
-  clear();
-}
-
 void Tracer::clear() {
   ring_.clear();
   head_ = 0;

@@ -84,8 +84,6 @@ class Tracer {
                     std::uint64_t trace_id, std::uint64_t span_id, std::uint64_t parent_span);
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  // Drops all buffered records.
-  void set_capacity(std::size_t capacity);
   [[nodiscard]] std::size_t size() const;
   // Lifetime total, including records already overwritten by wraparound.
   [[nodiscard]] std::uint64_t recorded() const { return total_; }

@@ -12,16 +12,13 @@ DistanceVectorRouter::DistanceVectorRouter(net::Stack& stack, Time update_period
         expire_routes();
         advertise();
       }) {
-  stack_.set_frame_handler(Proto::kRouting,
-                           [this](const net::LinkFrame& f) { on_frame(f); });
+  listen();
   // Self-route.
   table_[self_] = Route{self_, 0, 0, kTimeNever};
   // Stagger initial advertisements so nodes do not all transmit at t=0.
   timer_.start(duration::millis(
       static_cast<std::int64_t>(stack_.fork_rng(self_.value()).uniform_int(1, 200))));
 }
-
-DistanceVectorRouter::~DistanceVectorRouter() { stack_.clear_frame_handler(Proto::kRouting); }
 
 Bytes DistanceVectorRouter::encode_table() const {
   serialize::Writer w;
@@ -41,15 +38,7 @@ void DistanceVectorRouter::advertise() {
   }
   // Fresh sequence number for our own entry (DSDV).
   table_[self_] = Route{self_, 0, ++own_seq_, kTimeNever};
-  RoutingHeader h;
-  h.kind = RoutingKind::kDvUpdate;
-  h.origin = self_;
-  h.dst = net::kBroadcast;
-  h.ttl = 1;
-  const Bytes body = encode_table();
-  stats_.control_packets++;
-  stats_.control_bytes += body.size();
-  stack_.broadcast_frame(Proto::kRouting, encode_routing(h, body));
+  broadcast_control(encode_table());
 }
 
 void DistanceVectorRouter::expire_routes() {
@@ -73,7 +62,8 @@ void DistanceVectorRouter::expire_routes() {
   }
 }
 
-void DistanceVectorRouter::on_update(NodeId from, const Bytes& body) {
+void DistanceVectorRouter::on_control(const RoutingHeader& header, const Bytes& body) {
+  const NodeId from = header.origin;
   serialize::Reader r{body};
   const auto n = r.varint();
   if (!n) return;
@@ -114,87 +104,13 @@ NodeId DistanceVectorRouter::next_hop(NodeId dst) const {
   return it->second.next_hop;
 }
 
-Status DistanceVectorRouter::send(NodeId dst, Proto upper, Bytes payload) {
-  if (dst == self_) {
-    deliver_local(self_, upper, payload);
-    return Status::ok();
-  }
-  RoutingHeader h;
-  h.kind = RoutingKind::kData;
-  h.origin = self_;
-  h.dst = dst;
-  h.seq = next_seq_++;
-  h.ttl = static_cast<std::uint8_t>(kDefaultTtl);
-  h.upper = upper;
-  stamp_trace(h);
-  stats_.data_sent++;
-  forward_data(h, payload);
-  return Status::ok();  // best-effort; reliability lives in transport
-}
-
-void DistanceVectorRouter::forward_data(RoutingHeader header, const Bytes& payload) {
-  const auto it = table_.find(header.dst);
-  if (it == table_.end() || it->second.metric >= kInfinity) {
+Status DistanceVectorRouter::forward(const RoutingHeader& header, const Bytes& payload) {
+  const NodeId hop = next_hop(header.dst);
+  if (!hop.valid() ||
+      !stack_.send_frame(hop, Proto::kRouting, encode_routing(header, payload)).is_ok()) {
     stats_.drops++;
-    return;
   }
-  const Status s = stack_.send_frame(it->second.next_hop, Proto::kRouting,
-                                     encode_routing(header, payload));
-  if (!s.is_ok()) stats_.drops++;
-}
-
-Status DistanceVectorRouter::flood(Proto upper, Bytes payload, int ttl) {
-  RoutingHeader h;
-  h.kind = RoutingKind::kFlood;
-  h.origin = self_;
-  h.dst = net::kBroadcast;
-  h.seq = next_seq_++;
-  h.ttl = static_cast<std::uint8_t>(ttl);
-  h.upper = upper;
-  stamp_trace(h);
-  seen_[self_].insert(h.seq);
-  deliver_local(self_, upper, payload);
-  stats_.data_sent++;
-  return stack_.broadcast_frame(Proto::kRouting, encode_routing(h, payload));
-}
-
-void DistanceVectorRouter::on_frame(const net::LinkFrame& frame) {
-  RoutingHeader h;
-  Bytes payload;
-  if (!decode_routing(frame.payload(), h, payload)) return;
-  switch (h.kind) {
-    case RoutingKind::kDvUpdate:
-      on_update(h.origin, payload);
-      break;
-    case RoutingKind::kData:
-      if (h.dst == self_) {
-        record_delivery_hops(kDefaultTtl - static_cast<int>(h.ttl) + 1);
-        deliver_local(h, payload);
-        return;
-      }
-      if (h.ttl == 0) {
-        stats_.drops++;
-        return;
-      }
-      h.ttl--;
-      stats_.data_forwarded++;
-      record_forward(h, "forward");
-      forward_data(h, payload);
-      break;
-    case RoutingKind::kFlood: {
-      if (!seen_[h.origin].insert(h.seq).second) return;
-      deliver_local(h, payload);
-      if (h.ttl == 0) {
-        stats_.drops++;
-        return;
-      }
-      h.ttl--;
-      stats_.data_forwarded++;
-      record_forward(h, "flood_forward");
-      stack_.broadcast_frame(Proto::kRouting, encode_routing(h, payload));
-      break;
-    }
-  }
+  return Status::ok();
 }
 
 }  // namespace ndsm::routing

@@ -3,28 +3,19 @@
 // E2 (discovery) and E6 (routing energy): correct everywhere, expensive
 // everywhere.
 
-#include <unordered_map>
-#include <unordered_set>
-
 #include "routing/router.hpp"
 
 namespace ndsm::routing {
 
 class FloodingRouter : public Router {
  public:
-  explicit FloodingRouter(net::Stack& stack);
-  ~FloodingRouter() override;
+  explicit FloodingRouter(net::Stack& stack) : Router(stack) { listen(); }
 
-  Status send(NodeId dst, Proto upper, Bytes payload) override;
-  Status flood(Proto upper, Bytes payload, int ttl = kDefaultTtl) override;
-
- private:
-  void on_frame(const net::LinkFrame& frame);
-  Status originate(NodeId dst, Proto upper, Bytes payload, int ttl);
-  [[nodiscard]] bool seen_before(NodeId origin, std::uint32_t seq);
-
-  std::uint32_t next_seq_ = 1;
-  std::unordered_map<NodeId, std::unordered_set<std::uint32_t>> seen_;
+  // Unicast rides a flood that stops at its target.
+  Status send(NodeId dst, Proto upper, Bytes payload) override {
+    if (dst == self_) return Router::send(dst, upper, std::move(payload));
+    return originate_flood(dst, upper, std::move(payload), kDefaultTtl);
+  }
 };
 
 }  // namespace ndsm::routing

@@ -14,30 +14,25 @@ GeoRouter::GeoRouter(net::Stack& stack, Time hello_period)
         return stack_.peer_online(node) ? stack_.position_of(node) : std::nullopt;
       }),
       hello_timer_(stack, hello_period, [this] { hello(); }) {
-  stack_.set_frame_handler(Proto::kRouting,
-                           [this](const net::LinkFrame& f) { on_frame(f); });
+  listen();
   hello_timer_.start(duration::millis(static_cast<std::int64_t>(
       stack_.fork_rng(self_.value() ^ 0x9e0).uniform_int(1, 400))));
 }
-
-GeoRouter::~GeoRouter() { stack_.clear_frame_handler(Proto::kRouting); }
 
 void GeoRouter::hello() {
   if (!stack_.online()) {
     hello_timer_.stop();
     return;
   }
-  RoutingHeader h;
-  h.kind = RoutingKind::kDvUpdate;  // reused as "control beacon" kind
-  h.origin = self_;
-  h.dst = net::kBroadcast;
-  h.ttl = 1;
   serialize::Writer w;
   w.vec2(stack_.self_position());
-  const Bytes body = std::move(w).take();
-  stats_.control_packets++;
-  stats_.control_bytes += body.size();
-  stack_.broadcast_frame(Proto::kRouting, encode_routing(h, body));
+  broadcast_control(std::move(w).take());
+}
+
+void GeoRouter::on_control(const RoutingHeader& header, const Bytes& body) {
+  serialize::Reader r{body};
+  const auto pos = r.vec2();
+  if (pos) neighbors_[header.origin] = NeighborInfo{*pos, stack_.now()};
 }
 
 NodeId GeoRouter::best_hop_toward(Vec2 dst_pos) const {
@@ -56,104 +51,21 @@ NodeId GeoRouter::best_hop_toward(Vec2 dst_pos) const {
   return best;
 }
 
-Status GeoRouter::send(NodeId dst, Proto upper, Bytes payload) {
-  if (dst == self_) {
-    deliver_local(self_, upper, payload);
-    return Status::ok();
+Status GeoRouter::forward(const RoutingHeader& header, const Bytes& payload) {
+  NodeId hop = NodeId::invalid();
+  if (const auto dst_pos = resolve_(header.dst)) {
+    // A live direct neighbour takes it; otherwise greedy progress.
+    const auto direct = neighbors_.find(header.dst);
+    const bool adjacent = direct != neighbors_.end() &&
+                          stack_.now() - direct->second.heard <= neighbor_ttl_;
+    hop = adjacent ? header.dst : best_hop_toward(*dst_pos);
+    if (!hop.valid()) local_minimum_drops_++;
   }
-  RoutingHeader h;
-  h.kind = RoutingKind::kData;
-  h.origin = self_;
-  h.dst = dst;
-  h.seq = next_seq_++;
-  h.ttl = static_cast<std::uint8_t>(kDefaultTtl);
-  h.upper = upper;
-  stamp_trace(h);
-  stats_.data_sent++;
-  forward_data(h, payload);
+  if (!hop.valid() ||
+      !stack_.send_frame(hop, Proto::kRouting, encode_routing(header, payload)).is_ok()) {
+    stats_.drops++;
+  }
   return Status::ok();
-}
-
-void GeoRouter::forward_data(RoutingHeader header, const Bytes& payload) {
-  const auto dst_pos = resolve_(header.dst);
-  if (!dst_pos) {
-    stats_.drops++;
-    return;
-  }
-  // Direct neighbour?
-  const auto direct = neighbors_.find(header.dst);
-  if (direct != neighbors_.end() &&
-      stack_.now() - direct->second.heard <= neighbor_ttl_) {
-    if (!stack_.send_frame(header.dst, Proto::kRouting, encode_routing(header, payload))
-             .is_ok()) {
-      stats_.drops++;
-    }
-    return;
-  }
-  const NodeId hop = best_hop_toward(*dst_pos);
-  if (!hop.valid()) {
-    local_minimum_drops_++;
-    stats_.drops++;
-    return;
-  }
-  if (!stack_.send_frame(hop, Proto::kRouting, encode_routing(header, payload)).is_ok()) {
-    stats_.drops++;
-  }
-}
-
-Status GeoRouter::flood(Proto upper, Bytes payload, int ttl) {
-  RoutingHeader h;
-  h.kind = RoutingKind::kFlood;
-  h.origin = self_;
-  h.dst = net::kBroadcast;
-  h.seq = next_seq_++;
-  h.ttl = static_cast<std::uint8_t>(ttl);
-  h.upper = upper;
-  stamp_trace(h);
-  seen_[self_].insert(h.seq);
-  deliver_local(self_, upper, payload);
-  stats_.data_sent++;
-  return stack_.broadcast_frame(Proto::kRouting, encode_routing(h, payload));
-}
-
-void GeoRouter::on_frame(const net::LinkFrame& frame) {
-  RoutingHeader h;
-  Bytes payload;
-  if (!decode_routing(frame.payload(), h, payload)) return;
-  switch (h.kind) {
-    case RoutingKind::kDvUpdate: {  // hello beacon
-      serialize::Reader r{payload};
-      const auto pos = r.vec2();
-      if (!pos) return;
-      neighbors_[h.origin] = NeighborInfo{*pos, stack_.now()};
-      break;
-    }
-    case RoutingKind::kData:
-      if (h.dst == self_) {
-        record_delivery_hops(kDefaultTtl - static_cast<int>(h.ttl) + 1);
-        deliver_local(h, payload);
-        return;
-      }
-      if (h.ttl == 0) {
-        stats_.drops++;
-        return;
-      }
-      h.ttl--;
-      stats_.data_forwarded++;
-      record_forward(h, "forward");
-      forward_data(h, payload);
-      break;
-    case RoutingKind::kFlood: {
-      if (!seen_[h.origin].insert(h.seq).second) return;
-      deliver_local(h, payload);
-      if (h.ttl == 0) return;
-      h.ttl--;
-      stats_.data_forwarded++;
-      record_forward(h, "flood_forward");
-      stack_.broadcast_frame(Proto::kRouting, encode_routing(h, payload));
-      break;
-    }
-  }
 }
 
 }  // namespace ndsm::routing

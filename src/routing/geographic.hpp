@@ -13,8 +13,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "routing/router.hpp"
 
@@ -25,10 +23,6 @@ class GeoRouter : public Router {
   using PositionResolver = std::function<std::optional<Vec2>(NodeId)>;
 
   explicit GeoRouter(net::Stack& stack, Time hello_period = duration::seconds(2));
-  ~GeoRouter() override;
-
-  Status send(NodeId dst, Proto upper, Bytes payload) override;
-  Status flood(Proto upper, Bytes payload, int ttl = kDefaultTtl) override;
 
   // How to find a destination's position. Default: the Stack's position
   // oracle (the World's ground truth in the sim — the GPS assumption);
@@ -47,8 +41,10 @@ class GeoRouter : public Router {
     Time heard;
   };
 
-  void on_frame(const net::LinkFrame& frame);
-  void forward_data(RoutingHeader header, const Bytes& payload);
+  // Best-effort like DV: ok even when stuck (the drop is counted).
+  Status forward(const RoutingHeader& header, const Bytes& payload) override;
+  // A neighbour's hello beacon (its position).
+  void on_control(const RoutingHeader& header, const Bytes& body) override;
   [[nodiscard]] NodeId best_hop_toward(Vec2 dst_pos) const;
 
   Time hello_period_;
@@ -59,8 +55,6 @@ class GeoRouter : public Router {
   // With a NodeId-ordered map the tie goes to the smallest id, a pure
   // function of the neighbor set rather than of hash-bucket layout.
   std::map<NodeId, NeighborInfo> neighbors_;
-  std::uint32_t next_seq_ = 1;
-  std::unordered_map<NodeId, std::unordered_set<std::uint32_t>> seen_;
   std::uint64_t local_minimum_drops_ = 0;
   net::PeriodicTimer hello_timer_;
 };

@@ -97,39 +97,14 @@ void GlobalRoutingTable::invalidate() {
 
 GlobalRouter::GlobalRouter(net::Stack& stack, std::shared_ptr<GlobalRoutingTable> table)
     : Router(stack), table_(std::move(table)) {
-  stack_.set_frame_handler(Proto::kRouting,
-                           [this](const net::LinkFrame& f) { on_frame(f); });
+  listen();
 }
 
-GlobalRouter::~GlobalRouter() { stack_.clear_frame_handler(Proto::kRouting); }
-
-Status GlobalRouter::send(NodeId dst, Proto upper, Bytes payload) {
-  if (dst == self_) {
-    deliver_local(self_, upper, payload);
-    return Status::ok();
-  }
-  RoutingHeader h;
-  h.kind = RoutingKind::kData;
-  h.origin = self_;
-  h.dst = dst;
-  h.seq = next_seq_++;
-  h.ttl = static_cast<std::uint8_t>(kDefaultTtl);
-  h.upper = upper;
-  stamp_trace(h);
-  stats_.data_sent++;
-  if (!table_->reachable(self_, dst)) {
-    stats_.drops++;
-    return Status{ErrorCode::kUnreachable, "no path"};
-  }
-  forward_data(h, payload);
-  return Status::ok();
-}
-
-void GlobalRouter::forward_data(RoutingHeader header, const Bytes& payload) {
+Status GlobalRouter::forward(const RoutingHeader& header, const Bytes& payload) {
   const NodeId hop = table_->next_hop(self_, header.dst);
   if (!hop.valid()) {
     stats_.drops++;
-    return;
+    return Status{ErrorCode::kUnreachable, "no path"};
   }
   const Status s =
       stack_.send_frame(hop, Proto::kRouting, encode_routing(header, payload));
@@ -137,67 +112,13 @@ void GlobalRouter::forward_data(RoutingHeader header, const Bytes& payload) {
     // Stale route (e.g. the hop just died): recompute once and retry.
     table_->invalidate();
     const NodeId retry = table_->next_hop(self_, header.dst);
-    if (!retry.valid() || retry == hop) {
-      stats_.drops++;
-      return;
-    }
-    if (!stack_.send_frame(retry, Proto::kRouting, encode_routing(header, payload))
+    if (!retry.valid() || retry == hop ||
+        !stack_.send_frame(retry, Proto::kRouting, encode_routing(header, payload))
              .is_ok()) {
       stats_.drops++;
     }
   }
-}
-
-Status GlobalRouter::flood(Proto upper, Bytes payload, int ttl) {
-  RoutingHeader h;
-  h.kind = RoutingKind::kFlood;
-  h.origin = self_;
-  h.dst = net::kBroadcast;
-  h.seq = next_seq_++;
-  h.ttl = static_cast<std::uint8_t>(ttl);
-  h.upper = upper;
-  stamp_trace(h);
-  seen_[self_].insert(h.seq);
-  deliver_local(self_, upper, payload);
-  stats_.data_sent++;
-  return stack_.broadcast_frame(Proto::kRouting, encode_routing(h, payload));
-}
-
-void GlobalRouter::on_frame(const net::LinkFrame& frame) {
-  RoutingHeader h;
-  Bytes payload;
-  if (!decode_routing(frame.payload(), h, payload)) return;
-  switch (h.kind) {
-    case RoutingKind::kData:
-      if (h.dst == self_) {
-        // TTL is decremented per relay, so remaining TTL gives link hops:
-        // direct neighbour = 1 hop (no decrement), each relay adds one.
-        record_delivery_hops(kDefaultTtl - static_cast<int>(h.ttl) + 1);
-        deliver_local(h, payload);
-        return;
-      }
-      if (h.ttl == 0) {
-        stats_.drops++;
-        return;
-      }
-      h.ttl--;
-      stats_.data_forwarded++;
-      record_forward(h, "forward");
-      forward_data(h, payload);
-      break;
-    case RoutingKind::kFlood: {
-      if (!seen_[h.origin].insert(h.seq).second) return;
-      deliver_local(h, payload);
-      if (h.ttl == 0) return;
-      h.ttl--;
-      stats_.data_forwarded++;
-      record_forward(h, "flood_forward");
-      stack_.broadcast_frame(Proto::kRouting, encode_routing(h, payload));
-      break;
-    }
-    case RoutingKind::kDvUpdate:
-      break;  // not our protocol
-  }
+  return Status::ok();
 }
 
 }  // namespace ndsm::routing

@@ -13,7 +13,6 @@
 
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/world.hpp"
@@ -72,20 +71,14 @@ class GlobalRoutingTable {
 class GlobalRouter : public Router {
  public:
   GlobalRouter(net::Stack& stack, std::shared_ptr<GlobalRoutingTable> table);
-  ~GlobalRouter() override;
-
-  Status send(NodeId dst, Proto upper, Bytes payload) override;
-  Status flood(Proto upper, Bytes payload, int ttl = kDefaultTtl) override;
 
   [[nodiscard]] GlobalRoutingTable& table() { return *table_; }
 
  private:
-  void on_frame(const net::LinkFrame& frame);
-  void forward_data(RoutingHeader header, const Bytes& payload);
+  // kUnreachable when the table has no path (send() reports it).
+  Status forward(const RoutingHeader& header, const Bytes& payload) override;
 
   std::shared_ptr<GlobalRoutingTable> table_;
-  std::uint32_t next_seq_ = 1;
-  std::unordered_map<NodeId, std::unordered_set<std::uint32_t>> seen_;
 };
 
 }  // namespace ndsm::routing

@@ -5,16 +5,22 @@
 // Router instance per node, all built on the net::Stack link-layer seam
 // (simulated World or real sockets — §3.2 network independence).
 //
-// Three strategies are provided:
-//   * FloodingRouter       — controlled flooding with duplicate suppression
+// The forwarding plane lives here, once: originating data and floods,
+// relaying with TTL accounting and trace stamps, per-origin duplicate
+// suppression of floods, hop-count delivery and one-hop control beacons.
+// A strategy only chooses the next hop of a data packet (forward()) and
+// handles its own control frames (on_control()):
+//   * FloodingRouter       — no next hop at all: unicast rides a flood
 //   * DistanceVectorRouter — distributed DSDV-style hop-count routing
 //   * GlobalRouter         — middleware-computed routes (MiLAN's approach:
 //                            the middleware has a network view and writes
 //                            routes), with hop-count or energy-aware metric
+//   * GeoRouter            — greedy position-based forwarding
 
 #include <functional>
 #include <map>
-#include <memory>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
@@ -63,17 +69,20 @@ class Router {
 
   explicit Router(net::Stack& stack)
       : stack_(stack), self_(stack.self()), hops_hist_(register_metrics()) {}
-  virtual ~Router() = default;
+  virtual ~Router();
 
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  // Send `payload` to `dst`, possibly over multiple hops.
-  virtual Status send(NodeId dst, Proto upper, Bytes payload) = 0;
+  // Send `payload` to `dst`, possibly over multiple hops: a kData packet
+  // whose next hop forward() picks.
+  virtual Status send(NodeId dst, Proto upper, Bytes payload);
 
   // Network-wide flood (delivered to the upper layer on every reachable
   // node, including nodes with no route state).
-  virtual Status flood(Proto upper, Bytes payload, int ttl = kDefaultTtl) = 0;
+  virtual Status flood(Proto upper, Bytes payload, int ttl = kDefaultTtl) {
+    return originate_flood(net::kBroadcast, upper, std::move(payload), ttl);
+  }
 
   // Register the upper-layer protocol handler (transport, discovery,
   // location, ...). One handler per protocol.
@@ -90,64 +99,52 @@ class Router {
   static constexpr int kDefaultTtl = 32;
 
  protected:
+  // Take the stack's kRouting frames (released on destruction). Strategies
+  // call this from their constructor; a decorator wrapping another router
+  // on the same stack does not.
+  void listen();
+
+  // Send a data packet one hop closer to header.dst, originated here or
+  // relayed. The status is what send() returns to its caller; relays
+  // ignore it. Count a drop when there is no usable next hop (the base,
+  // which has no route choice, always drops).
+  virtual Status forward(const RoutingHeader& header, const Bytes& payload);
+
+  // A one-hop control frame (kDvUpdate) from neighbour header.origin.
+  virtual void on_control(const RoutingHeader& /*header*/, const Bytes& /*body*/) {}
+
+  // Broadcast a control body to one-hop neighbours (DV tables, hellos).
+  void broadcast_control(const Bytes& body);
+
+  // Originate a flood toward `dst` (net::kBroadcast: every node); a
+  // unicast flood stops at its target.
+  Status originate_flood(NodeId dst, Proto upper, Bytes payload, int ttl);
+
   void deliver_local(NodeId origin, Proto upper, const Bytes& payload) {
     stats_.data_delivered++;
     const auto it = handlers_.find(upper);
     if (it != handlers_.end()) it->second(origin, payload);
   }
 
-  // Delivery with the frame's causal context active, so upper layers that
-  // send from their handler continue the trace.
-  void deliver_local(const RoutingHeader& h, const Bytes& payload) {
-    const obs::ScopedTrace scope(h.trace);
-    deliver_local(h.origin, h.upper, payload);
-  }
-
-  // Stamp the caller's active context onto a header about to be
-  // originated (hop count starts at zero here).
-  static void stamp_trace(RoutingHeader& h) {
-    h.trace = obs::active_trace();
-    h.trace.hops = 0;
-  }
-
-  // Account a forward: bump the wire hop count and leave a causal instant
-  // so per-hop relays show up in the trace timeline.
-  void record_forward(RoutingHeader& h, const char* name) {
-    if (h.trace.hops < 255) h.trace.hops++;
-    obs::Tracer& tracer = obs::Tracer::instance();
-    if (tracer.enabled() && h.trace.valid()) {
-      tracer.event_traced("routing.router", name, static_cast<std::int64_t>(self_.value()),
-                          h.trace.trace_id, 0, h.trace.span_id,
-                          {{"origin", std::to_string(h.origin.value())},
-                           {"dst", std::to_string(h.dst.value())},
-                           {"hops", std::to_string(h.trace.hops)},
-                           {"ttl", std::to_string(h.ttl)}});
-    }
-  }
-
-  // Subclasses call this where the hop count of a delivered data packet is
-  // known (typically kDefaultTtl minus the remaining TTL).
-  void record_delivery_hops(int hops) { hops_hist_.observe(static_cast<double>(hops)); }
-
   net::Stack& stack_;
   NodeId self_;
-  std::map<Proto, DeliveryHandler> handlers_;
   RouterStats stats_;
-  obs::MetricGroup metrics_;
-  obs::Histogram& hops_hist_;
 
  private:
-  obs::Histogram& register_metrics() {
-    metrics_.set_labels("routing.router", static_cast<std::int64_t>(self_.value()));
-    metrics_.counter("routing.router.data_sent", &stats_.data_sent);
-    metrics_.counter("routing.router.data_forwarded", &stats_.data_forwarded);
-    metrics_.counter("routing.router.data_delivered", &stats_.data_delivered);
-    metrics_.counter("routing.router.control_packets", &stats_.control_packets);
-    metrics_.counter("routing.router.control_bytes", &stats_.control_bytes);
-    metrics_.counter("routing.router.drops", &stats_.drops);
-    return metrics_.histogram("routing.router.hops",
-                              {0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32});
-  }
+  RoutingHeader originate(RoutingKind kind, NodeId dst, Proto upper, int ttl);
+  void on_frame(const net::LinkFrame& frame);
+  void deliver_traced(const RoutingHeader& header, const Bytes& payload);
+  void record_forward(RoutingHeader& header);
+  obs::Histogram& register_metrics();
+
+  std::map<Proto, DeliveryHandler> handlers_;
+  obs::MetricGroup metrics_;
+  obs::Histogram& hops_hist_;
+  bool listening_ = false;
+  // Shared by data and flood originations; floods are suppressed by
+  // (origin, seq).
+  std::uint32_t next_seq_ = 1;
+  std::unordered_map<NodeId, std::unordered_set<std::uint32_t>> seen_;
 };
 
 }  // namespace ndsm::routing

@@ -271,6 +271,48 @@ TEST(Distributed, CollectsFromMultipleSuppliers) {
   EXPECT_EQ(found.size(), 3u);
 }
 
+// The QueryCallback contract is "best first": a flooded query's replies
+// are ranked by QoS score, not by ServiceId, so TransactionManager (which
+// binds the first record) binds the stronger supplier.
+TEST(Distributed, BestMatchRankedFirst) {
+  DistributedSetup setup{9};
+  auto weak = sensor_service();
+  weak.reliability = 0.5;
+  auto strong = sensor_service();
+  strong.reliability = 0.99;
+  setup.clients[2]->register_service(weak, duration::seconds(60));
+  setup.clients[7]->register_service(strong, duration::seconds(60));
+  std::vector<ServiceRecord> found;
+  setup.clients[0]->query(wants(), [&](std::vector<ServiceRecord> recs) { found = recs; }, 8,
+                          duration::seconds(2));
+  setup.sim.run_until(duration::seconds(3));
+  ASSERT_EQ(found.size(), 2u);
+  EXPECT_EQ(found[0].provider, setup.nodes[7]);
+  EXPECT_EQ(found[1].provider, setup.nodes[2]);
+}
+
+// A cache answer merges the node's own services with cached ones; cut to
+// max_results it keeps the best record, not the lowest ServiceId.
+TEST(Distributed, CacheAnswerKeepsBestMatch) {
+  DistributedConfig cfg;
+  cfg.advertise_period = duration::seconds(2);
+  DistributedSetup setup{9, cfg};
+  auto weak = sensor_service();
+  weak.reliability = 0.5;
+  auto strong = sensor_service();
+  strong.reliability = 0.99;
+  setup.clients[0]->register_service(weak, duration::seconds(60));
+  setup.clients[7]->register_service(strong, duration::seconds(60));
+  setup.sim.run_until(duration::seconds(5));
+  ASSERT_EQ(setup.clients[0]->cache_size(), 1u);
+  std::vector<ServiceRecord> found;
+  setup.clients[0]->query(wants(), [&](std::vector<ServiceRecord> recs) { found = recs; }, 1,
+                          duration::seconds(2));
+  setup.sim.run_until(duration::seconds(6));
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].provider, setup.nodes[7]);
+}
+
 TEST(Distributed, TimeoutWithNoSuppliers) {
   DistributedSetup setup{4};
   bool called = false;

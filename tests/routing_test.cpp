@@ -122,6 +122,105 @@ TEST(Flooding, UnicastStopsAtTarget) {
   EXPECT_EQ(beyond_got, 0);  // flood not forwarded past its unicast target
 }
 
+// --- the shared forwarding plane, over every strategy ----------------------
+
+enum class Strategy { kFlooding, kDistanceVector, kGlobal, kGeo };
+
+class EveryStrategy : public ::testing::TestWithParam<Strategy> {
+ protected:
+  EveryStrategy() : grid(16) {}
+
+  // Bring the strategy up on a 4x4 lattice or on a 16-node line.
+  void start(bool line) {
+    if (line) {
+      for (std::size_t i = 0; i < grid.nodes.size(); ++i) {
+        grid.world.set_position(grid.nodes[i], Vec2{static_cast<double>(i) * 20.0, 0});
+      }
+    }
+    const Time period = duration::seconds(1);  // DV update / geo hello period
+    switch (GetParam()) {
+      case Strategy::kFlooding:
+        grid.with_routers<FloodingRouter>();
+        break;
+      case Strategy::kDistanceVector:
+        grid.with_routers<DistanceVectorRouter>(period);
+        break;
+      case Strategy::kGlobal:
+        grid.with_routers<GlobalRouter>(
+            std::make_shared<GlobalRoutingTable>(grid.world, Metric::kHopCount));
+        break;
+      case Strategy::kGeo:
+        grid.with_routers<GeoRouter>(period);
+        break;
+    }
+    got.assign(grid.nodes.size(), 0);
+    for (std::size_t i = 0; i < grid.nodes.size(); ++i) {
+      grid.router(i).set_delivery_handler(Proto::kApp,
+                                          [this, i](NodeId, const Bytes&) { got[i]++; });
+    }
+  }
+
+  std::uint64_t total(std::uint64_t RouterStats::*field) {
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < grid.nodes.size(); ++i) sum += grid.router(i).stats().*field;
+    return sum;
+  }
+
+  WirelessGrid grid;
+  std::vector<int> got;
+};
+
+// Names the parameter in test listings (".../Flooding").
+const char* strategy_name(Strategy strategy) {
+  switch (strategy) {
+    case Strategy::kFlooding:
+      return "Flooding";
+    case Strategy::kDistanceVector:
+      return "DistanceVector";
+    case Strategy::kGlobal:
+      return "Global";
+    case Strategy::kGeo:
+      return "Geo";
+  }
+  return "?";
+}
+void PrintTo(Strategy strategy, std::ostream* os) { *os << strategy_name(strategy); }
+
+INSTANTIATE_TEST_SUITE_P(Routers, EveryStrategy,
+                         ::testing::Values(Strategy::kFlooding, Strategy::kDistanceVector,
+                                           Strategy::kGlobal, Strategy::kGeo));
+
+TEST_P(EveryStrategy, FloodDeliveredOncePerNodeAndNotReforwardedByOrigin) {
+  start(/*line=*/false);
+  ASSERT_TRUE(grid.router(5).flood(Proto::kApp, to_bytes("all")).is_ok());
+  grid.sim.run_until(duration::seconds(1));
+  EXPECT_EQ(got, std::vector<int>(16, 1));
+  EXPECT_EQ(grid.router(5).stats().data_forwarded, 0u);
+  EXPECT_EQ(total(&RouterStats::data_forwarded), 15u);  // one rebroadcast each
+  EXPECT_EQ(total(&RouterStats::drops), 0u);
+}
+
+TEST_P(EveryStrategy, ExpiredFloodTtlCountsOneDrop) {
+  start(/*line=*/true);
+  ASSERT_TRUE(grid.router(0).flood(Proto::kApp, to_bytes("x"), /*ttl=*/2).is_ok());
+  grid.sim.run_until(duration::seconds(1));
+  EXPECT_EQ(got[3], 1);  // delivered by node 2's last rebroadcast (ttl hit 0)
+  EXPECT_EQ(got[4], 0);
+  EXPECT_EQ(grid.router(3).stats().drops, 1u);
+  EXPECT_EQ(total(&RouterStats::drops), 1u);
+}
+
+TEST_P(EveryStrategy, UnicastStopsAtTarget) {
+  start(/*line=*/true);
+  grid.sim.run_until(duration::seconds(10));  // DV converged, geo hellos heard
+  ASSERT_TRUE(grid.router(0).send(grid.nodes[3], Proto::kApp, to_bytes("x")).is_ok());
+  grid.sim.run_until(duration::seconds(11));
+  EXPECT_EQ(got, (std::vector<int>{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}));
+  for (std::size_t i = 3; i < 16; ++i) {
+    EXPECT_EQ(grid.router(i).stats().data_forwarded, 0u) << i;
+  }
+}
+
 struct DvGrid : WirelessGrid {
   explicit DvGrid(std::size_t n) : WirelessGrid(n) {
     with_routers<DistanceVectorRouter>(duration::seconds(1));
