@@ -5,6 +5,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cctype>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "bench/bench_util.hpp"
 #include "common/rng.hpp"
 #include "interop/markup.hpp"
@@ -119,6 +125,38 @@ void BM_WalRecordRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_WalRecordRoundTrip);
 
+// Console output as usual, plus each case's ns/op kept for the summary
+// line under a snake_case key: BM_ValueEncode -> value_encode_ns_per_op.
+class RecordingReporter : public benchmark::ConsoleReporter {
+ public:
+  void ReportRuns(const std::vector<Run>& runs) override {
+    ConsoleReporter::ReportRuns(runs);
+    for (const Run& run : runs) {
+      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
+      const double ns = run.GetAdjustedRealTime() *
+                        (1e9 / benchmark::GetTimeUnitMultiplier(run.time_unit));
+      ns_per_op.emplace_back(json_key(run.benchmark_name()), ns);
+    }
+  }
+
+  std::vector<std::pair<std::string, double>> ns_per_op;
+
+ private:
+  static std::string json_key(std::string_view name) {
+    if (name.substr(0, 3) == "BM_") name.remove_prefix(3);
+    std::string key;
+    for (const char c : name) {
+      if (std::isupper(static_cast<unsigned char>(c)) != 0) {
+        if (!key.empty()) key += '_';
+        key += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+      } else {
+        key += c;
+      }
+    }
+    return key + "_ns_per_op";
+  }
+};
+
 }  // namespace
 
 // Expanded BENCHMARK_MAIN() so we can append the machine-readable summary
@@ -126,9 +164,13 @@ BENCHMARK(BM_WalRecordRoundTrip);
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  const std::size_t ran = benchmark::RunSpecifiedBenchmarks();
+  RecordingReporter reporter;
+  const std::size_t ran = benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  bench::emit_json("micro_dataplane", "benchmarks_run",
-                   static_cast<std::uint64_t>(ran));
+  obs::JsonObject o;
+  o.field("bench", "micro_dataplane");
+  o.field("benchmarks_run", static_cast<std::uint64_t>(ran));
+  for (const auto& [key, ns] : reporter.ns_per_op) o.field(key, ns);
+  bench::emit_json_object(o);
   return 0;
 }

@@ -1,8 +1,9 @@
 // Hot-path throughput bench for the discrete-event engine and the link
 // layer: schedule/cancel/step ops/sec on sim::Simulator, and wireless
-// broadcast fan-out rounds at 100/1k/10k nodes on net::World. These are
-// the two paths every experiment in DESIGN.md's index funnels through, so
-// a regression here slows the whole harness (ROADMAP: "as fast as the
+// broadcast fan-out rounds at 100/1k/10k nodes on net::World (the two
+// paths every experiment in DESIGN.md's index funnels through), and
+// GlobalRoutingTable route computation on a 600-node lattice. A
+// regression here slows the whole harness (ROADMAP: "as fast as the
 // hardware allows"). Honors NDSM_BENCH_QUICK=1 (run_benches.sh --quick).
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include "net/link_spec.hpp"
 #include "net/world.hpp"
 #include "obs/trace.hpp"
+#include "routing/global.hpp"
 #include "sim/simulator.hpp"
 
 using namespace ndsm;
@@ -120,6 +122,34 @@ BroadcastResult bench_broadcast(std::size_t n, std::size_t rounds) {
   return out;
 }
 
+// Route computation on the field_churn-sized lattice: 25x24 wireless nodes
+// (10 m spacing, 12.5 m range: 4-connected), hop-count metric. Each round
+// invalidates the GlobalRoutingTable and asks one next_hop from every
+// source, i.e. 600 single-source Dijkstras. Returns sources per second.
+double bench_global_routes(std::size_t rounds) {
+  sim::Simulator sim{3};
+  net::World world{sim};
+  const MediumId m = world.add_medium(net::wifi80211(/*range_m=*/12.5, /*loss=*/0.0));
+  std::vector<NodeId> nodes;
+  for (std::size_t i = 0; i < 600; ++i) {
+    const NodeId id = world.add_node({static_cast<double>(i % 25) * 10.0,
+                                      static_cast<double>(i / 25) * 10.0});
+    world.attach(id, m);
+    nodes.push_back(id);
+  }
+  routing::GlobalRoutingTable table{world, routing::Metric::kHopCount};
+  const NodeId far = nodes.back();
+  std::size_t reachable = 0;
+  const double t0 = now_s();
+  for (std::size_t r = 0; r < rounds; ++r) {
+    table.invalidate();
+    for (const NodeId src : nodes) reachable += table.next_hop(src, far).valid() ? 1 : 0;
+  }
+  const double dt = now_s() - t0;
+  if (reachable != rounds * (nodes.size() - 1)) std::abort();  // lattice is connected
+  return static_cast<double>(rounds * nodes.size()) / dt;
+}
+
 // Reliable-transport ping-pong over two wireless nodes: serialized
 // round-trips, so throughput is dominated by the per-message stack cost —
 // fragment encode (incl. the unconditional trace-context trailer), id
@@ -217,6 +247,11 @@ int main() {
   }
 
   bench::row_sep();
+  const double routes = bench_global_routes(quick ? 2 : 20);
+  std::printf("global routes n=600 %9.0f sources/s  (invalidate + next_hop per source)\n",
+              routes);
+
+  bench::row_sep();
   const std::size_t msgs = quick ? 2'000 : 20'000;
   const double ratio = bench_tracing_overhead_ratio(quick ? 1'000 : 10'000, quick ? 3 : 5);
   std::unique_ptr<bench::Field> field;
@@ -234,6 +269,7 @@ int main() {
                    "bcast_1k_per_s", bcast[1],
                    "bcast_10k_per_s", bcast[2],
                    "deliv_1k_per_s", deliv[1],
+                   "global_routes_600_per_s", routes,
                    "quick", quick);
   // Separate line for the tracing-overhead gate: run_benches.sh feeds it
   // to bench_compare.py against an ideal ratio of 1.0 with --threshold 5,

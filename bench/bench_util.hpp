@@ -73,14 +73,20 @@ inline void append_rtt_percentiles(obs::JsonObject& o) {
   o.field("rtt_p99_ms", obs::quantile_from(bounds, counts, 0.99));
 }
 
+// Emit an object whose first field is already "bench" (for benches whose
+// keys are only known at run time).
+inline void emit_json_object(obs::JsonObject& o) {
+  append_rtt_percentiles(o);
+  std::printf("\nBENCH_JSON %s\n", o.str().c_str());
+  std::fflush(stdout);
+}
+
 template <class... Fields>
 void emit_json(const std::string& bench, Fields&&... fields) {
   obs::JsonObject o;
   o.field("bench", bench);
   emit_json_fields(o, std::forward<Fields>(fields)...);
-  append_rtt_percentiles(o);
-  std::printf("\nBENCH_JSON %s\n", o.str().c_str());
-  std::fflush(stdout);
+  emit_json_object(o);
 }
 
 // Set by `run_benches.sh --quick`: benches shrink sizes/iterations to one

@@ -70,6 +70,7 @@ NodeId World::add_node(Vec2 position, Battery battery) {
   n.position = position;
   n.battery = battery;
   nodes_.push_back(std::move(n));
+  topology_version_++;
   const NodeId id{nodes_.size() - 1};
   register_node_metrics(id);
   return id;
@@ -87,12 +88,15 @@ void World::attach(NodeId node_id, MediumId medium_id) {
   }
   n.media.push_back(medium_id);
   n.cell_keys.push_back(key);
+  topology_version_++;
 }
 
 const LinkSpec& World::medium_spec(MediumId id) const { return medium(id).spec; }
 
 void World::set_medium_range(MediumId id, double range_m) {
-  medium(id).spec.range_m = range_m;
+  double& range = medium(id).spec.range_m;
+  if (range != range_m) topology_version_++;
+  range = range_m;
   rebuild_grid(id);
 }
 
@@ -233,7 +237,9 @@ void World::audit_verify_grid(MediumId id) const {
 Vec2 World::position(NodeId id) const { return node(id).position; }
 
 void World::set_position(NodeId id, Vec2 position) {
-  node(id).position = position;
+  Vec2& current = node(id).position;
+  if (!(current == position)) topology_version_++;
+  current = position;
   update_cells(id);
 #if NDSM_AUDIT_ENABLED
   // Position updates are the only operation that migrates nodes between
@@ -285,6 +291,7 @@ void World::kill(NodeId id) {
   auto& n = node(id);
   if (!n.alive) return;
   n.alive = false;
+  topology_version_++;
   if (n.motion.valid()) {
     sim_.cancel(n.motion);
     n.motion = EventId::invalid();
@@ -298,8 +305,9 @@ void World::kill(NodeId id) {
 
 void World::revive(NodeId id) {
   auto& n = node(id);
-  if (n.battery.depleted()) return;  // cannot revive an exhausted battery
+  if (n.alive || n.battery.depleted()) return;  // an exhausted battery stays dead
   n.alive = true;
+  topology_version_++;
 }
 
 const Battery& World::battery(NodeId id) const { return node(id).battery; }

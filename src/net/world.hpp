@@ -83,6 +83,11 @@ class World {
   [[nodiscard]] std::vector<MediumId> media_of(NodeId node) const;
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] std::vector<NodeId> all_nodes() const;
+  // Bumped by every change neighbors() can observe: add_node, attaching a
+  // new medium, set_position (and so move_linear steps), set_medium_range,
+  // and a real liveness flip in kill (battery death included) or revive.
+  // No-ops leave it alone. Lets route computation cache adjacency.
+  [[nodiscard]] std::uint64_t topology_version() const { return topology_version_; }
 
   // --- positions & mobility -------------------------------------------------
   [[nodiscard]] Vec2 position(NodeId node) const;
@@ -226,6 +231,7 @@ class World {
   mutable std::uint64_t audit_grid_queries_ = 0;  // sampling counter (NDSM_AUDIT)
   std::uint64_t audit_moves_ = 0;                 // sampling counter (NDSM_AUDIT)
   FaultPlan* faults_ = nullptr;
+  std::uint64_t topology_version_ = 0;
   DeathHandler on_death_;
   mutable std::vector<NodeId> scratch_;  // candidate buffer for grid queries
   // Declared last: the registry views point at stats_/nodes_ above.

@@ -1,8 +1,10 @@
 #include "routing/global.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
+
+#include "common/audit.hpp"
 
 namespace ndsm::routing {
 
@@ -33,57 +35,99 @@ double GlobalRoutingTable::link_cost(NodeId a, NodeId b) const {
   return 1.0;
 }
 
-GlobalRoutingTable::SourceRoutes& GlobalRoutingTable::routes_for(NodeId from) {
-  auto& entry = cache_[from];
-  const Time now = world_.sim().now();
-  if (entry.computed_at >= 0 && now - entry.computed_at < refresh_interval_) return entry;
+void GlobalRoutingTable::refresh_adjacency() {
+  if (adj_version_ == world_.topology_version()) return;
+  adj_version_ = world_.topology_version();
+  const std::size_t n = world_.node_count();
+  adj_offsets_.assign(n + 1, 0);
+  adj_.clear();
+  for (std::size_t u = 0; u < n; ++u) {
+    adj_offsets_[u] = adj_.size();
+    const NodeId id{u};
+    if (!world_.alive(id)) continue;
+    const std::vector<NodeId> row = world_.neighbors(id);
+    adj_.insert(adj_.end(), row.begin(), row.end());
+  }
+  adj_offsets_[n] = adj_.size();
+}
 
-  entry.computed_at = now;
-  entry.next_hop.clear();
-  entry.cost.clear();
-  recomputations_++;
-
-  if (!world_.alive(from)) return entry;
-
-  // Dijkstra from `from` over alive nodes.
-  using QueueEntry = std::pair<double, NodeId>;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue;
-  std::unordered_map<NodeId, double> dist;
-  std::unordered_map<NodeId, NodeId> first_hop;
-
-  dist[from] = 0.0;
-  queue.emplace(0.0, from);
-  while (!queue.empty()) {
-    const auto [d, u] = queue.top();
-    queue.pop();
-    const auto du = dist.find(u);
-    if (du == dist.end() || d > du->second) continue;
-    for (const NodeId v : world_.neighbors(u)) {
-      const double cost = link_cost(u, v);
-      const double nd = d + cost;
-      const auto dv = dist.find(v);
-      if (dv == dist.end() || nd < dv->second) {
-        dist[v] = nd;
-        first_hop[v] = (u == from) ? v : first_hop[u];
-        queue.emplace(nd, v);
+// The snapshot must be current and each row must equal a brute-force scan
+// of the world (pure queries only, so counters match an unaudited run).
+void GlobalRoutingTable::audit_adjacency(NodeId row) const {
+  NDSM_INVARIANT(adj_version_ == world_.topology_version(),
+                 "adjacency snapshot is stale against the world topology");
+  NDSM_INVARIANT(adj_offsets_.size() == world_.node_count() + 1,
+                 "adjacency snapshot does not cover every node");
+  std::vector<NodeId> expect;
+  if (world_.alive(row)) {
+    for (std::size_t v = 0; v < world_.node_count(); ++v) {
+      const NodeId peer{v};
+      if (peer != row && world_.alive(peer) && world_.in_link_range(row, peer)) {
+        expect.push_back(peer);
       }
     }
   }
-  entry.cost = std::move(dist);
-  entry.next_hop = std::move(first_hop);
+  const auto begin = adj_.begin() + static_cast<std::ptrdiff_t>(adj_offsets_[row.value()]);
+  const auto end = adj_.begin() + static_cast<std::ptrdiff_t>(adj_offsets_[row.value() + 1]);
+  NDSM_INVARIANT(std::equal(begin, end, expect.begin(), expect.end()),
+                 "adjacency snapshot row disagrees with a brute-force range scan");
+}
+
+const GlobalRoutingTable::SourceRoutes& GlobalRoutingTable::routes_for(NodeId from) {
+  if (from.value() >= sources_.size()) sources_.resize(from.value() + 1);
+  auto& entry = sources_[from.value()];
+  const Time now = world_.sim().now();
+  if (entry.epoch == epoch_ && now - entry.computed_at < refresh_interval_) return entry;
+
+  entry.computed_at = now;
+  entry.epoch = epoch_;
+  recomputations_++;
+  const std::size_t n = world_.node_count();
+  entry.next_hop.assign(n, NodeId::invalid());
+  entry.cost.assign(n, std::numeric_limits<double>::infinity());
+
+  if (!world_.alive(from)) return entry;
+
+  refresh_adjacency();
+#if NDSM_AUDIT_ENABLED
+  if (++audit_recomputes_ % net::World::kGridAuditSample == 0) audit_adjacency(from);
+#endif
+
+  // Dijkstra from `from` over alive nodes, popping in (cost, NodeId) order
+  // and relaxing only on strict improvement.
+  auto& cost = entry.cost;
+  auto& first_hop = entry.next_hop;
+  heap_.clear();
+  cost[from.value()] = 0.0;
+  heap_.emplace_back(0.0, from);
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    const auto [d, u] = heap_.back();
+    heap_.pop_back();
+    if (d > cost[u.value()]) continue;
+    for (std::size_t i = adj_offsets_[u.value()]; i < adj_offsets_[u.value() + 1]; ++i) {
+      const NodeId v = adj_[i];
+      const double nd = d + link_cost(u, v);
+      if (nd < cost[v.value()]) {
+        cost[v.value()] = nd;
+        first_hop[v.value()] = (u == from) ? v : first_hop[u.value()];
+        heap_.emplace_back(nd, v);
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      }
+    }
+  }
   return entry;
 }
 
 NodeId GlobalRoutingTable::next_hop(NodeId from, NodeId to) {
-  const auto& routes = routes_for(from);
-  const auto it = routes.next_hop.find(to);
-  return it == routes.next_hop.end() ? NodeId::invalid() : it->second;
+  const auto& hops = routes_for(from).next_hop;
+  return to.value() < hops.size() ? hops[to.value()] : NodeId::invalid();
 }
 
 double GlobalRoutingTable::path_cost(NodeId from, NodeId to) {
-  const auto& routes = routes_for(from);
-  const auto it = routes.cost.find(to);
-  return it == routes.cost.end() ? std::numeric_limits<double>::infinity() : it->second;
+  const auto& cost = routes_for(from).cost;
+  return to.value() < cost.size() ? cost[to.value()]
+                                  : std::numeric_limits<double>::infinity();
 }
 
 bool GlobalRoutingTable::reachable(NodeId from, NodeId to) {
@@ -92,7 +136,7 @@ bool GlobalRoutingTable::reachable(NodeId from, NodeId to) {
 
 void GlobalRoutingTable::invalidate() {
   invalidations_++;
-  cache_.clear();
+  epoch_++;
 }
 
 GlobalRouter::GlobalRouter(net::Stack& stack, std::shared_ptr<GlobalRoutingTable> table)

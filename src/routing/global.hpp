@@ -10,9 +10,15 @@
 //                    fraction, which steers traffic away from nearly-dead
 //                    relays and raises network lifetime (§4: "increase the
 //                    lifetime of a network").
+//
+// Dijkstra walks a CSR snapshot of World::neighbors() for every alive
+// node, rebuilt only when World::topology_version() moves, so a burst of
+// per-source recomputations between topology changes costs no spatial-
+// grid queries. Per-source results are dense vectors indexed by NodeId.
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/world.hpp"
@@ -37,7 +43,10 @@ class GlobalRoutingTable {
   [[nodiscard]] bool reachable(NodeId from, NodeId to);
 
   // Drop all cached paths (call on topology change; battery drift is
-  // handled by the refresh interval).
+  // handled by the refresh interval). O(1): bumps an epoch that every
+  // cached source compares against, keeping the tables' storage for reuse.
+  // Without it a cached source keeps its answers until the refresh
+  // interval, even across topology changes.
   void invalidate();
 
   [[nodiscard]] Metric metric() const { return metric_; }
@@ -49,20 +58,34 @@ class GlobalRoutingTable {
   [[nodiscard]] std::uint64_t recomputations() const { return recomputations_; }
 
  private:
+  // Indexed by destination NodeId::value(); sized to the node count at
+  // computation time (later nodes read as unreachable).
   struct SourceRoutes {
     Time computed_at = -1;
-    std::unordered_map<NodeId, NodeId> next_hop;  // dst -> first hop
-    std::unordered_map<NodeId, double> cost;      // dst -> path cost
+    std::uint64_t epoch = 0;       // valid only while equal to epoch_
+    std::vector<NodeId> next_hop;  // invalid(): no path
+    std::vector<double> cost;      // infinity: unreachable
   };
 
   [[nodiscard]] double link_cost(NodeId a, NodeId b) const;
-  SourceRoutes& routes_for(NodeId from);
+  const SourceRoutes& routes_for(NodeId from);
+  // Rebuild the adjacency snapshot if the world's topology moved.
+  void refresh_adjacency();
+  // NDSM_AUDIT cross-check of the snapshot against the live world.
+  void audit_adjacency(NodeId row) const;
 
   net::World& world_;
   Metric metric_;
   std::size_t reference_payload_;
   Time refresh_interval_;
-  std::unordered_map<NodeId, SourceRoutes> cache_;
+  std::vector<SourceRoutes> sources_;  // indexed by source NodeId::value()
+  std::uint64_t epoch_ = 1;
+  // CSR adjacency: neighbours of u are adj_[adj_offsets_[u], adj_offsets_[u+1]).
+  std::vector<std::size_t> adj_offsets_;
+  std::vector<NodeId> adj_;
+  std::uint64_t adj_version_ = ~std::uint64_t{0};  // never built
+  std::vector<std::pair<double, NodeId>> heap_;     // Dijkstra scratch
+  std::uint64_t audit_recomputes_ = 0;              // sampling counter (NDSM_AUDIT)
   std::uint64_t recomputations_ = 0;
   std::uint64_t invalidations_ = 0;
   obs::MetricGroup metrics_;

@@ -188,6 +188,71 @@ TEST_F(NetTest, NeighborsReflectRangeAndLiveness) {
   EXPECT_TRUE(world.neighbors(a).empty());
 }
 
+TEST_F(NetTest, TopologyVersionTracksEveryNeighborChange) {
+  std::uint64_t seen = world.topology_version();
+  // True when the version moved since the last call.
+  const auto bumped = [&] {
+    const std::uint64_t now = world.topology_version();
+    const bool moved = now != seen;
+    seen = now;
+    return moved;
+  };
+  const MediumId radio = world.add_medium(wifi80211(50, 0));
+  EXPECT_FALSE(bumped());  // an empty medium changes no neighbour set
+  const NodeId a = world.add_node({0, 0});
+  EXPECT_TRUE(bumped());
+  const NodeId b = world.add_node({30, 0}, Battery{1.0});
+  EXPECT_TRUE(bumped());
+  world.attach(a, radio);
+  EXPECT_TRUE(bumped());
+  world.attach(b, radio);
+  EXPECT_TRUE(bumped());
+  world.attach(a, radio);  // already attached
+  EXPECT_FALSE(bumped());
+  const MediumId lan = world.add_medium(ethernet100());
+  world.attach(a, lan);
+  EXPECT_TRUE(bumped());
+
+  world.set_position(b, {35, 0});
+  EXPECT_TRUE(bumped());
+  world.set_position(b, {35, 0});  // same place
+  EXPECT_FALSE(bumped());
+  world.set_medium_range(radio, 60);
+  EXPECT_TRUE(bumped());
+  world.set_medium_range(radio, 60);
+  EXPECT_FALSE(bumped());
+
+  world.kill(a);
+  EXPECT_TRUE(bumped());
+  world.kill(a);  // already dead
+  EXPECT_FALSE(bumped());
+  world.revive(a);
+  EXPECT_TRUE(bumped());
+  world.revive(a);  // already alive
+  EXPECT_FALSE(bumped());
+
+  // Every move_linear step goes through set_position.
+  world.move_linear(b, {40, 0}, 10.0);
+  const std::uint64_t before_walk = world.topology_version();
+  sim.run_all();
+  EXPECT_EQ(world.position(b), (Vec2{40, 0}));
+  EXPECT_GE(world.topology_version() - before_walk, 5u);  // 5 m in ~1 m steps
+  seen = world.topology_version();
+
+  world.set_battery(b, Battery{1.0});  // energy only; neighbours unchanged
+  EXPECT_FALSE(bumped());
+  world.drain(b, 0.5);
+  EXPECT_FALSE(bumped());
+  world.drain(b, 0.6);  // battery death
+  EXPECT_FALSE(world.alive(b));
+  EXPECT_TRUE(bumped());
+  world.drain(b, 1.0);  // already dead
+  EXPECT_FALSE(bumped());
+  world.revive(b);  // an exhausted battery cannot come back
+  EXPECT_FALSE(world.alive(b));
+  EXPECT_FALSE(bumped());
+}
+
 TEST_F(NetTest, LoopbackDelivery) {
   const NodeId a = world.add_node({0, 0});
   Bytes got;

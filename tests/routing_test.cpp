@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <queue>
+#include <unordered_map>
+
+#include "common/rng.hpp"
 #include "net/faults.hpp"
 #include "routing/distance_vector.hpp"
 #include "routing/flooding.hpp"
@@ -372,6 +379,255 @@ TEST(GlobalRouting, CachesUntilRefreshInterval) {
   grid.sim.run_until(duration::seconds(60));        // past refresh interval
   (void)grid.table->next_hop(grid.nodes[0], grid.nodes[8]);
   EXPECT_GT(grid.table->recomputations(), before);
+}
+
+// --- GlobalRoutingTable vs a reference Dijkstra ------------------------------
+//
+// The reference is the table's original implementation: map-based
+// Dijkstra straight over live World::neighbors(), popping (cost, NodeId)
+// and relaxing only on a strict improvement. The table (CSR adjacency
+// snapshot, dense per-source vectors) must agree with it bit for bit.
+
+struct ReferenceRoutes {
+  std::unordered_map<NodeId, NodeId> next_hop;
+  std::unordered_map<NodeId, double> cost;
+};
+
+double reference_link_cost(const net::World& world, Metric metric, NodeId a, NodeId b) {
+  if (metric == Metric::kHopCount) return 1.0;
+  const double tx = world.link_tx_cost(a, b, 64);
+  const double residual = std::max(world.battery(a).fraction(), 0.02);
+  return (tx + 1e-12) / residual;
+}
+
+ReferenceRoutes reference_routes(const net::World& world, Metric metric, NodeId from) {
+  ReferenceRoutes out;
+  if (!world.alive(from)) return out;
+  using QueueEntry = std::pair<double, NodeId>;
+  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue;
+  out.cost[from] = 0.0;
+  queue.emplace(0.0, from);
+  while (!queue.empty()) {
+    const auto [d, u] = queue.top();
+    queue.pop();
+    if (d > out.cost.at(u)) continue;
+    for (const NodeId v : world.neighbors(u)) {
+      const double nd = d + reference_link_cost(world, metric, u, v);
+      const auto dv = out.cost.find(v);
+      if (dv == out.cost.end() || nd < dv->second) {
+        out.cost[v] = nd;
+        out.next_hop[v] = (u == from) ? v : out.next_hop[u];
+        queue.emplace(nd, v);
+      }
+    }
+  }
+  return out;
+}
+
+// Every answer of `from` (plus one id past the last node, which must read
+// as unreachable) against `ref`.
+void expect_source_matches(GlobalRoutingTable& table, const ReferenceRoutes& ref, NodeId from,
+                           std::size_t node_count) {
+  for (std::size_t t = 0; t <= node_count; ++t) {
+    const NodeId to{t};
+    const auto hop = ref.next_hop.find(to);
+    const auto cost = ref.cost.find(to);
+    const NodeId want_hop = hop == ref.next_hop.end() ? NodeId::invalid() : hop->second;
+    const double want_cost =
+        cost == ref.cost.end() ? std::numeric_limits<double>::infinity() : cost->second;
+    EXPECT_EQ(table.next_hop(from, to), want_hop) << from.value() << " -> " << t;
+    EXPECT_EQ(table.path_cost(from, to), want_cost) << from.value() << " -> " << t;
+    EXPECT_EQ(table.reachable(from, to), from == to || want_hop.valid())
+        << from.value() << " -> " << t;
+  }
+}
+
+// Seeded random field: 36 nodes in a 120 m square on one 30 m radio, so
+// some pairs are several hops apart and some are cut off. `mixed` adds a
+// wired segment joining every fifth node (mains-powered) and a 20 m
+// sensor radio on the even nodes. Batteries are drained to varied levels
+// so energy-aware costs differ per relay.
+struct RandomField {
+  static constexpr std::size_t kNodes = 36;
+
+  RandomField(std::uint64_t seed, bool mixed) : sim(seed), world(sim), rng(seed, 7) {
+    radio = world.add_medium(net::wifi80211(30.0, 0.0));
+    const MediumId lan = mixed ? world.add_medium(net::ethernet100()) : MediumId::invalid();
+    const MediumId sensor =
+        mixed ? world.add_medium(net::sensor_radio(20.0, 0.0)) : MediumId::invalid();
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      const bool wired = mixed && i % 5 == 0;
+      const NodeId id = world.add_node({rng.uniform(0, 120), rng.uniform(0, 120)},
+                                       wired ? net::Battery::mains() : net::Battery{10.0});
+      world.attach(id, radio);
+      if (wired) world.attach(id, lan);
+      if (mixed && i % 2 == 0) world.attach(id, sensor);
+      if (!wired) world.drain(id, rng.uniform(0.0, 9.0));
+      nodes.push_back(id);
+    }
+  }
+
+  [[nodiscard]] NodeId pick() {
+    return nodes[static_cast<std::size_t>(rng.uniform_int(0, kNodes - 1))];
+  }
+
+  void expect_all_pairs(GlobalRoutingTable& table) {
+    for (const NodeId from : world.all_nodes()) {
+      expect_source_matches(table, reference_routes(world, table.metric(), from), from,
+                            world.node_count());
+    }
+  }
+
+  sim::Simulator sim;
+  net::World world;
+  Rng rng;
+  MediumId radio;
+  std::vector<NodeId> nodes;
+};
+
+// Runs `body` for seeds 1-3 on wireless and mixed fields under both metrics.
+template <class Body>
+void for_each_field(Body body) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    for (const bool mixed : {false, true}) {
+      for (const Metric metric : {Metric::kHopCount, Metric::kEnergyAware}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << (mixed ? " mixed" : " wireless")
+                                          << (metric == Metric::kHopCount ? " hop" : " energy"));
+        RandomField field{seed, mixed};
+        GlobalRoutingTable table{field.world, metric};
+        body(field, table);
+      }
+    }
+  }
+}
+
+TEST(GlobalRoutingEquivalence, MatchesReferenceAcrossMutationsAndInvalidate) {
+  for_each_field([](RandomField& f, GlobalRoutingTable& table) {
+    f.expect_all_pairs(table);
+    std::vector<NodeId> killed;
+    for (int i = 0; i < 4; ++i) {
+      killed.push_back(f.pick());
+      f.world.kill(killed.back());
+    }
+    table.invalidate();
+    f.expect_all_pairs(table);
+    f.world.revive(killed[0]);
+    f.world.revive(killed[1]);
+    table.invalidate();
+    f.expect_all_pairs(table);
+    for (int i = 0; i < 5; ++i) {
+      f.world.set_position(f.pick(), {f.rng.uniform(0, 120), f.rng.uniform(0, 120)});
+    }
+    table.invalidate();
+    f.expect_all_pairs(table);
+    for (const double range : {40.0, 22.0}) {
+      f.world.set_medium_range(f.radio, range);
+      table.invalidate();
+      f.expect_all_pairs(table);
+    }
+  });
+}
+
+TEST(GlobalRoutingEquivalence, CachedSourceKeepsAnswersUntilRefresh) {
+  for_each_field([](RandomField& f, GlobalRoutingTable& table) {
+    // A source with a multi-hop route and the relay that route uses.
+    NodeId src = NodeId::invalid();
+    NodeId relay = NodeId::invalid();
+    for (const NodeId from : f.nodes) {
+      const ReferenceRoutes ref = reference_routes(f.world, table.metric(), from);
+      for (const NodeId to : f.nodes) {
+        const auto hop = ref.next_hop.find(to);
+        if (hop != ref.next_hop.end() && hop->second != to) {
+          src = from;
+          relay = hop->second;
+          break;
+        }
+      }
+      if (src.valid()) break;
+    }
+    ASSERT_TRUE(src.valid());
+    const ReferenceRoutes before = reference_routes(f.world, table.metric(), src);
+    expect_source_matches(table, before, src, f.world.node_count());
+
+    f.world.kill(relay);
+    f.world.set_position(f.pick(), {f.rng.uniform(0, 120), f.rng.uniform(0, 120)});
+    const ReferenceRoutes after = reference_routes(f.world, table.metric(), src);
+    ASSERT_EQ(after.next_hop.count(relay), 0u);  // the change is visible to src
+
+    // No invalidate(): src answers from its cached computation, while
+    // every source computed for the first time sees the new topology.
+    expect_source_matches(table, before, src, f.world.node_count());
+    for (const NodeId other : f.nodes) {
+      if (other == src) continue;
+      expect_source_matches(table, reference_routes(f.world, table.metric(), other), other,
+                            f.world.node_count());
+    }
+    // Past the refresh interval src recomputes on its own.
+    f.sim.run_until(duration::seconds(11));
+    expect_source_matches(table, after, src, f.world.node_count());
+  });
+}
+
+TEST(GlobalRoutingEquivalence, NodeAddedAfterAQuery) {
+  for_each_field([](RandomField& f, GlobalRoutingTable& table) {
+    const NodeId src = f.nodes[0];
+    const ReferenceRoutes before = reference_routes(f.world, table.metric(), src);
+    expect_source_matches(table, before, src, f.world.node_count());
+
+    const NodeId late = f.world.add_node(f.world.position(src) + Vec2{5, 0});
+    f.world.attach(late, f.radio);
+    // src's cached table predates `late`: the bounds-checked lookup reads
+    // it as unreachable rather than running off the end.
+    EXPECT_FALSE(table.reachable(src, late));
+    expect_source_matches(table, before, src, f.world.node_count());
+    // First-time sources, `late` itself included, see it.
+    expect_source_matches(table, reference_routes(f.world, table.metric(), late), late,
+                          f.world.node_count());
+    expect_source_matches(table, reference_routes(f.world, table.metric(), f.nodes[1]),
+                          f.nodes[1], f.world.node_count());
+    table.invalidate();
+    EXPECT_TRUE(table.reachable(src, late));
+    f.expect_all_pairs(table);
+  });
+}
+
+TEST(GlobalRoutingEquivalence, DeadSourceReachesNothing) {
+  for_each_field([](RandomField& f, GlobalRoutingTable& table) {
+    const NodeId src = f.nodes[3];
+    f.expect_all_pairs(table);
+    f.world.kill(src);
+    table.invalidate();
+    for (const NodeId to : f.world.all_nodes()) {
+      EXPECT_FALSE(table.next_hop(src, to).valid());
+      EXPECT_EQ(table.path_cost(src, to), std::numeric_limits<double>::infinity());
+      EXPECT_EQ(table.reachable(src, to), to == src);
+    }
+    f.expect_all_pairs(table);
+  });
+}
+
+TEST(GlobalRoutingEquivalence, EnergyCostsDriftWithoutTopologyChange) {
+  for_each_field([](RandomField& f, GlobalRoutingTable& table) {
+    f.expect_all_pairs(table);
+    std::vector<double> costs_before;
+    for (const NodeId to : f.nodes) costs_before.push_back(table.path_cost(f.nodes[0], to));
+    const std::uint64_t version = f.world.topology_version();
+    // Drain most battery-powered nodes close to empty without killing any.
+    for (const NodeId id : f.nodes) {
+      const net::Battery& b = f.world.battery(id);
+      if (b.finite() && id.value() % 3 != 0) f.world.drain(id, b.remaining() * 0.9);
+    }
+    ASSERT_EQ(f.world.topology_version(), version);
+    table.invalidate();
+    f.expect_all_pairs(table);
+    if (table.metric() == Metric::kEnergyAware) {
+      std::size_t changed = 0;
+      for (std::size_t i = 0; i < f.nodes.size(); ++i) {
+        changed += table.path_cost(f.nodes[0], f.nodes[i]) != costs_before[i] ? 1 : 0;
+      }
+      EXPECT_GT(changed, 0u);
+    }
+  });
 }
 
 TEST(LocationService, BeaconsPopulateCaches) {
