@@ -123,10 +123,11 @@ BroadcastResult bench_broadcast(std::size_t n, std::size_t rounds) {
 }
 
 // Route computation on the field_churn-sized lattice: 25x24 wireless nodes
-// (10 m spacing, 12.5 m range: 4-connected), hop-count metric. Each round
-// invalidates the GlobalRoutingTable and asks one next_hop from every
-// source, i.e. 600 single-source Dijkstras. Returns sources per second.
-double bench_global_routes(std::size_t rounds) {
+// (10 m spacing, 12.5 m range: 4-connected). Each round invalidates the
+// GlobalRoutingTable and asks one next_hop from every source, i.e. 600
+// single-source computations: id-ordered BFS under kHopCount, heap
+// Dijkstra under kEnergyAware. Returns sources per second.
+double bench_global_routes(routing::Metric metric, std::size_t rounds) {
   sim::Simulator sim{3};
   net::World world{sim};
   const MediumId m = world.add_medium(net::wifi80211(/*range_m=*/12.5, /*loss=*/0.0));
@@ -137,7 +138,7 @@ double bench_global_routes(std::size_t rounds) {
     world.attach(id, m);
     nodes.push_back(id);
   }
-  routing::GlobalRoutingTable table{world, routing::Metric::kHopCount};
+  routing::GlobalRoutingTable table{world, metric};
   const NodeId far = nodes.back();
   std::size_t reachable = 0;
   const double t0 = now_s();
@@ -247,9 +248,13 @@ int main() {
   }
 
   bench::row_sep();
-  const double routes = bench_global_routes(quick ? 2 : 20);
-  std::printf("global routes n=600 %9.0f sources/s  (invalidate + next_hop per source)\n",
+  const std::size_t route_rounds = quick ? 2 : 20;
+  const double routes = bench_global_routes(routing::Metric::kHopCount, route_rounds);
+  std::printf("global routes n=600 %9.0f sources/s  (hop count; invalidate + next_hop each)\n",
               routes);
+  const double energy_routes = bench_global_routes(routing::Metric::kEnergyAware, route_rounds);
+  std::printf("global routes n=600 %9.0f sources/s  (energy-aware; invalidate + next_hop each)\n",
+              energy_routes);
 
   bench::row_sep();
   const std::size_t msgs = quick ? 2'000 : 20'000;
@@ -270,6 +275,7 @@ int main() {
                    "bcast_10k_per_s", bcast[2],
                    "deliv_1k_per_s", deliv[1],
                    "global_routes_600_per_s", routes,
+                   "global_routes_600_energy_per_s", energy_routes,
                    "quick", quick);
   // Separate line for the tracing-overhead gate: run_benches.sh feeds it
   // to bench_compare.py against an ideal ratio of 1.0 with --threshold 5,

@@ -73,30 +73,10 @@ void GlobalRoutingTable::audit_adjacency(NodeId row) const {
                  "adjacency snapshot row disagrees with a brute-force range scan");
 }
 
-const GlobalRoutingTable::SourceRoutes& GlobalRoutingTable::routes_for(NodeId from) {
-  if (from.value() >= sources_.size()) sources_.resize(from.value() + 1);
-  auto& entry = sources_[from.value()];
-  const Time now = world_.sim().now();
-  if (entry.epoch == epoch_ && now - entry.computed_at < refresh_interval_) return entry;
-
-  entry.computed_at = now;
-  entry.epoch = epoch_;
-  recomputations_++;
-  const std::size_t n = world_.node_count();
-  entry.next_hop.assign(n, NodeId::invalid());
-  entry.cost.assign(n, std::numeric_limits<double>::infinity());
-
-  if (!world_.alive(from)) return entry;
-
-  refresh_adjacency();
-#if NDSM_AUDIT_ENABLED
-  if (++audit_recomputes_ % net::World::kGridAuditSample == 0) audit_adjacency(from);
-#endif
-
-  // Dijkstra from `from` over alive nodes, popping in (cost, NodeId) order
-  // and relaxing only on strict improvement.
-  auto& cost = entry.cost;
-  auto& first_hop = entry.next_hop;
+// Dijkstra from `from` over the snapshot, popping in (cost, NodeId) order
+// and relaxing only on strict improvement.
+void GlobalRoutingTable::dijkstra_routes(NodeId from, std::vector<NodeId>& first_hop,
+                                         std::vector<double>& cost) {
   heap_.clear();
   cost[from.value()] = 0.0;
   heap_.emplace_back(0.0, from);
@@ -116,6 +96,77 @@ const GlobalRoutingTable::SourceRoutes& GlobalRoutingTable::routes_for(NodeId fr
       }
     }
   }
+}
+
+// Unit link costs: a level-synchronous BFS gives the same answers as
+// dijkstra_routes(). With every link costing 1.0, Dijkstra settles a whole
+// level before the next and pops each level in NodeId order, so a node's
+// first finite cost comes from its lowest-id neighbour one level closer.
+// Expanding each frontier sorted by NodeId, under the same strict-
+// improvement test, picks that same neighbour; the costs are the level
+// numbers as exact doubles.
+void GlobalRoutingTable::hop_count_routes(NodeId from, std::vector<NodeId>& first_hop,
+                                          std::vector<double>& cost) {
+  cost[from.value()] = 0.0;
+  frontier_.assign(1, from);
+  double level = 0.0;
+  while (!frontier_.empty()) {
+    level += 1.0;
+    next_frontier_.clear();
+    for (const NodeId u : frontier_) {
+      for (std::size_t i = adj_offsets_[u.value()]; i < adj_offsets_[u.value() + 1]; ++i) {
+        const NodeId v = adj_[i];
+        if (level < cost[v.value()]) {
+          cost[v.value()] = level;
+          first_hop[v.value()] = (u == from) ? v : first_hop[u.value()];
+          next_frontier_.push_back(v);
+        }
+      }
+    }
+    std::sort(next_frontier_.begin(), next_frontier_.end());
+    frontier_.swap(next_frontier_);
+  }
+}
+
+// The BFS row must equal Dijkstra's over the same snapshot (pure queries
+// only, so counters match an unaudited run).
+void GlobalRoutingTable::audit_hop_count(NodeId from, const SourceRoutes& routes) {
+  std::vector<NodeId> first_hop(routes.next_hop.size(), NodeId::invalid());
+  std::vector<double> cost(routes.cost.size(), std::numeric_limits<double>::infinity());
+  dijkstra_routes(from, first_hop, cost);
+  NDSM_INVARIANT(first_hop == routes.next_hop,
+                 "hop-count BFS next hops disagree with Dijkstra on the same snapshot");
+  NDSM_INVARIANT(cost == routes.cost,
+                 "hop-count BFS costs disagree with Dijkstra on the same snapshot");
+}
+
+const GlobalRoutingTable::SourceRoutes& GlobalRoutingTable::routes_for(NodeId from) {
+  if (from.value() >= sources_.size()) sources_.resize(from.value() + 1);
+  auto& entry = sources_[from.value()];
+  const Time now = world_.sim().now();
+  if (entry.epoch == epoch_ && now - entry.computed_at < refresh_interval_) return entry;
+
+  entry.computed_at = now;
+  entry.epoch = epoch_;
+  recomputations_++;
+  const std::size_t n = world_.node_count();
+  entry.next_hop.assign(n, NodeId::invalid());
+  entry.cost.assign(n, std::numeric_limits<double>::infinity());
+
+  if (!world_.alive(from)) return entry;
+
+  refresh_adjacency();
+  if (metric_ == Metric::kHopCount) {
+    hop_count_routes(from, entry.next_hop, entry.cost);
+  } else {
+    dijkstra_routes(from, entry.next_hop, entry.cost);
+  }
+#if NDSM_AUDIT_ENABLED
+  if (++audit_recomputes_ % net::World::kGridAuditSample == 0) {
+    audit_adjacency(from);
+    if (metric_ == Metric::kHopCount) audit_hop_count(from, entry);
+  }
+#endif
   return entry;
 }
 

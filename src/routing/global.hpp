@@ -11,10 +11,15 @@
 //                    relays and raises network lifetime (§4: "increase the
 //                    lifetime of a network").
 //
-// Dijkstra walks a CSR snapshot of World::neighbors() for every alive
-// node, rebuilt only when World::topology_version() moves, so a burst of
-// per-source recomputations between topology changes costs no spatial-
-// grid queries. Per-source results are dense vectors indexed by NodeId.
+// Route computation walks a CSR snapshot of World::neighbors() for every
+// alive node, rebuilt only when World::topology_version() moves, so a
+// burst of per-source recomputations between topology changes costs no
+// spatial-grid queries. Per-source results are dense vectors indexed by
+// NodeId. kHopCount runs a level-synchronous BFS that expands each level
+// in NodeId order: with unit costs that is exactly the order Dijkstra pops
+// in, so routes and costs are the same as Dijkstra's, without the heap or
+// a per-edge cost call. kEnergyAware keeps the heap Dijkstra, since its
+// link costs read live battery levels.
 
 #include <cstdint>
 #include <memory>
@@ -69,10 +74,17 @@ class GlobalRoutingTable {
 
   [[nodiscard]] double link_cost(NodeId a, NodeId b) const;
   const SourceRoutes& routes_for(NodeId from);
+  // Fill one source's rows (pre-set to invalid()/infinity) from the
+  // snapshot: heap Dijkstra under link_cost, or the id-ordered BFS that
+  // gives the same rows when every link costs 1.0.
+  void dijkstra_routes(NodeId from, std::vector<NodeId>& first_hop, std::vector<double>& cost);
+  void hop_count_routes(NodeId from, std::vector<NodeId>& first_hop, std::vector<double>& cost);
   // Rebuild the adjacency snapshot if the world's topology moved.
   void refresh_adjacency();
-  // NDSM_AUDIT cross-check of the snapshot against the live world.
+  // NDSM_AUDIT cross-checks: the snapshot against the live world, and a
+  // hop-count BFS row against Dijkstra on the same snapshot.
   void audit_adjacency(NodeId row) const;
+  void audit_hop_count(NodeId from, const SourceRoutes& routes);
 
   net::World& world_;
   Metric metric_;
@@ -85,6 +97,8 @@ class GlobalRoutingTable {
   std::vector<NodeId> adj_;
   std::uint64_t adj_version_ = ~std::uint64_t{0};  // never built
   std::vector<std::pair<double, NodeId>> heap_;     // Dijkstra scratch
+  std::vector<NodeId> frontier_;                    // BFS scratch: this level
+  std::vector<NodeId> next_frontier_;               // BFS scratch: next level
   std::uint64_t audit_recomputes_ = 0;              // sampling counter (NDSM_AUDIT)
   std::uint64_t recomputations_ = 0;
   std::uint64_t invalidations_ = 0;

@@ -400,7 +400,10 @@ double reference_link_cost(const net::World& world, Metric metric, NodeId a, Nod
   return (tx + 1e-12) / residual;
 }
 
-ReferenceRoutes reference_routes(const net::World& world, Metric metric, NodeId from) {
+// `neighbors`, when given, holds World::neighbors() of every node, read
+// once by a caller that queries many sources of an unchanged world.
+ReferenceRoutes reference_routes(const net::World& world, Metric metric, NodeId from,
+                                 const std::vector<std::vector<NodeId>>* neighbors = nullptr) {
   ReferenceRoutes out;
   if (!world.alive(from)) return out;
   using QueueEntry = std::pair<double, NodeId>;
@@ -411,7 +414,7 @@ ReferenceRoutes reference_routes(const net::World& world, Metric metric, NodeId 
     const auto [d, u] = queue.top();
     queue.pop();
     if (d > out.cost.at(u)) continue;
-    for (const NodeId v : world.neighbors(u)) {
+    for (const NodeId v : neighbors != nullptr ? (*neighbors)[u.value()] : world.neighbors(u)) {
       const double nd = d + reference_link_cost(world, metric, u, v);
       const auto dv = out.cost.find(v);
       if (dv == out.cost.end() || nd < dv->second) {
@@ -442,20 +445,39 @@ void expect_source_matches(GlobalRoutingTable& table, const ReferenceRoutes& ref
   }
 }
 
-// Seeded random field: 36 nodes in a 120 m square on one 30 m radio, so
-// some pairs are several hops apart and some are cut off. `mixed` adds a
-// wired segment joining every fifth node (mains-powered) and a 20 m
-// sensor radio on the even nodes. Batteries are drained to varied levels
-// so energy-aware costs differ per relay.
-struct RandomField {
-  static constexpr std::size_t kNodes = 36;
+enum class Layout { kWireless, kMixed, kLattice };
 
-  RandomField(std::uint64_t seed, bool mixed) : sim(seed), world(sim), rng(seed, 7) {
+// kWireless: a seeded random field, 36 nodes in a 120 m square on one 30 m
+// radio, so some pairs are several hops apart and some are cut off.
+// kMixed adds a wired segment joining every fifth node (mains-powered) and
+// a 20 m sensor radio on the even nodes. Batteries in both are drained to
+// varied levels so energy-aware costs differ per relay. kLattice is
+// perfbench field_churn's geometry: 25x24 nodes 10 m apart on a 12.5 m
+// radio (4-connected), batteries equal, so equal-cost ties are dense under
+// both metrics. The seed drives picks and moves on every layout.
+struct RouteField {
+  static constexpr std::size_t kRandomNodes = 36;
+  static constexpr std::size_t kLatticeColumns = 25;
+  static constexpr std::size_t kLatticeRows = 24;
+
+  RouteField(std::uint64_t seed, Layout layout) : sim(seed), world(sim), rng(seed, 7) {
+    if (layout == Layout::kLattice) {
+      radio = world.add_medium(net::wifi80211(12.5, 0.0));
+      for (std::size_t i = 0; i < kLatticeColumns * kLatticeRows; ++i) {
+        const NodeId id = world.add_node({static_cast<double>(i % kLatticeColumns) * 10.0,
+                                          static_cast<double>(i / kLatticeColumns) * 10.0},
+                                         net::Battery{10.0});
+        world.attach(id, radio);
+        nodes.push_back(id);
+      }
+      return;
+    }
+    const bool mixed = layout == Layout::kMixed;
     radio = world.add_medium(net::wifi80211(30.0, 0.0));
     const MediumId lan = mixed ? world.add_medium(net::ethernet100()) : MediumId::invalid();
     const MediumId sensor =
         mixed ? world.add_medium(net::sensor_radio(20.0, 0.0)) : MediumId::invalid();
-    for (std::size_t i = 0; i < kNodes; ++i) {
+    for (std::size_t i = 0; i < kRandomNodes; ++i) {
       const bool wired = mixed && i % 5 == 0;
       const NodeId id = world.add_node({rng.uniform(0, 120), rng.uniform(0, 120)},
                                        wired ? net::Battery::mains() : net::Battery{10.0});
@@ -468,13 +490,15 @@ struct RandomField {
   }
 
   [[nodiscard]] NodeId pick() {
-    return nodes[static_cast<std::size_t>(rng.uniform_int(0, kNodes - 1))];
+    return nodes[static_cast<std::size_t>(rng.uniform_int(0, nodes.size() - 1))];
   }
 
   void expect_all_pairs(GlobalRoutingTable& table) {
+    std::vector<std::vector<NodeId>> neighbors;
+    for (const NodeId u : world.all_nodes()) neighbors.push_back(world.neighbors(u));
     for (const NodeId from : world.all_nodes()) {
-      expect_source_matches(table, reference_routes(world, table.metric(), from), from,
-                            world.node_count());
+      expect_source_matches(table, reference_routes(world, table.metric(), from, &neighbors),
+                            from, world.node_count());
     }
   }
 
@@ -485,24 +509,31 @@ struct RandomField {
   std::vector<NodeId> nodes;
 };
 
-// Runs `body` for seeds 1-3 on wireless and mixed fields under both metrics.
+// Runs `body` under both metrics for seeds 1-3 on wireless and mixed
+// fields, and for seed 1 on the lattice.
 template <class Body>
 void for_each_field(Body body) {
-  for (const std::uint64_t seed : {1, 2, 3}) {
-    for (const bool mixed : {false, true}) {
-      for (const Metric metric : {Metric::kHopCount, Metric::kEnergyAware}) {
-        SCOPED_TRACE(::testing::Message() << "seed " << seed << (mixed ? " mixed" : " wireless")
-                                          << (metric == Metric::kHopCount ? " hop" : " energy"));
-        RandomField field{seed, mixed};
-        GlobalRoutingTable table{field.world, metric};
-        body(field, table);
-      }
+  const std::pair<std::uint64_t, Layout> fields[] = {
+      {1, Layout::kWireless}, {1, Layout::kMixed}, {2, Layout::kWireless},
+      {2, Layout::kMixed},    {3, Layout::kWireless}, {3, Layout::kMixed},
+      {1, Layout::kLattice}};
+  for (const auto& [seed, layout] : fields) {
+    for (const Metric metric : {Metric::kHopCount, Metric::kEnergyAware}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed
+                   << (layout == Layout::kLattice ? " lattice"
+                       : layout == Layout::kMixed ? " mixed"
+                                                  : " wireless")
+                   << (metric == Metric::kHopCount ? " hop" : " energy"));
+      RouteField field{seed, layout};
+      GlobalRoutingTable table{field.world, metric};
+      body(field, table);
     }
   }
 }
 
 TEST(GlobalRoutingEquivalence, MatchesReferenceAcrossMutationsAndInvalidate) {
-  for_each_field([](RandomField& f, GlobalRoutingTable& table) {
+  for_each_field([](RouteField& f, GlobalRoutingTable& table) {
     f.expect_all_pairs(table);
     std::vector<NodeId> killed;
     for (int i = 0; i < 4; ++i) {
@@ -529,7 +560,7 @@ TEST(GlobalRoutingEquivalence, MatchesReferenceAcrossMutationsAndInvalidate) {
 }
 
 TEST(GlobalRoutingEquivalence, CachedSourceKeepsAnswersUntilRefresh) {
-  for_each_field([](RandomField& f, GlobalRoutingTable& table) {
+  for_each_field([](RouteField& f, GlobalRoutingTable& table) {
     // A source with a multi-hop route and the relay that route uses.
     NodeId src = NodeId::invalid();
     NodeId relay = NodeId::invalid();
@@ -569,7 +600,7 @@ TEST(GlobalRoutingEquivalence, CachedSourceKeepsAnswersUntilRefresh) {
 }
 
 TEST(GlobalRoutingEquivalence, NodeAddedAfterAQuery) {
-  for_each_field([](RandomField& f, GlobalRoutingTable& table) {
+  for_each_field([](RouteField& f, GlobalRoutingTable& table) {
     const NodeId src = f.nodes[0];
     const ReferenceRoutes before = reference_routes(f.world, table.metric(), src);
     expect_source_matches(table, before, src, f.world.node_count());
@@ -592,7 +623,7 @@ TEST(GlobalRoutingEquivalence, NodeAddedAfterAQuery) {
 }
 
 TEST(GlobalRoutingEquivalence, DeadSourceReachesNothing) {
-  for_each_field([](RandomField& f, GlobalRoutingTable& table) {
+  for_each_field([](RouteField& f, GlobalRoutingTable& table) {
     const NodeId src = f.nodes[3];
     f.expect_all_pairs(table);
     f.world.kill(src);
@@ -607,7 +638,7 @@ TEST(GlobalRoutingEquivalence, DeadSourceReachesNothing) {
 }
 
 TEST(GlobalRoutingEquivalence, EnergyCostsDriftWithoutTopologyChange) {
-  for_each_field([](RandomField& f, GlobalRoutingTable& table) {
+  for_each_field([](RouteField& f, GlobalRoutingTable& table) {
     f.expect_all_pairs(table);
     std::vector<double> costs_before;
     for (const NodeId to : f.nodes) costs_before.push_back(table.path_cost(f.nodes[0], to));
