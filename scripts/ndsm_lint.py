@@ -39,6 +39,13 @@ rules the simulator's bit-determinism argument rests on:
                       while a discarded read silently desynchronises the
                       decode. Bind, check, then use — or annotate why the
                       read cannot fail (e.g. the byte was already peeked).
+  untracked-timer     A schedule_after() call in src/ whose EventId is
+                      discarded while its callable captures `this`:
+                      nothing can cancel that event, so it fires into
+                      freed memory if its owner is destroyed first. Keep
+                      the EventId (or open the request in a
+                      transport::RequestTable) and cancel it on teardown,
+                      or annotate why the owner outlives the event.
 
 Any finding can be suppressed with a written reason, on the same line or
 the line directly above the construct:
@@ -122,6 +129,18 @@ READER_DISCARD_RE = re.compile(
     rf"^\s*(?:\(void\)\s*)?(\w+)\.{READER_METHODS}(?:<[\w:]+>)?\s*\([^()]*\)\s*;")
 # Immediate dereference of the returned optional: *r.u64() / r.id<T>()->…
 READER_DEREF_RE = re.compile(rf"\*\s*(\w+)\.{READER_METHODS}(?:<[\w:]+>)?\s*\(")
+# A schedule_after( call that begins a statement through a plain member
+# chain (`stack_.`, `transport_.router().stack().`, `(void)sim_.`): its
+# EventId goes nowhere. Assignments, returns and declarations all put
+# something else before the name.
+SCHEDULE_RE = re.compile(r"\bschedule_after\s*\(")
+DISCARDED_CALL_PREFIX_RE = re.compile(
+    r"^\s*(?:\(void\)\s*)?(?:\w+(?:\(\))?\s*(?:\.|->)\s*)*$")
+# Line ends after which a new statement starts.
+STATEMENT_END_RE = re.compile(r"[;{}):]\s*$")
+# `this` anywhere in the call's arguments, or a lambda whose capture
+# default (`[=]`, `[&]`, `[&, x]`) captures it implicitly.
+CAPTURES_THIS_RE = re.compile(r"\bthis\b|\[\s*[=&]\s*[,\]]")
 READER_ARROW_RE = re.compile(
     rf"\b(\w+)\.{READER_METHODS}(?:<[\w:]+>)?\s*\([^()]*\)\s*->")
 
@@ -227,6 +246,34 @@ def extract_assert_arg(code_lines, ln, col):
     return "".join(arg)
 
 
+def call_args(code, open_paren):
+    """The text between the parenthesis at `open_paren` and its match."""
+    depth = 0
+    for i in range(open_paren, len(code)):
+        if code[i] == "(":
+            depth += 1
+        elif code[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return code[open_paren + 1:i]
+    return code[open_paren + 1:]
+
+
+def discards_event_id(code_lines, ln, prefix):
+    """Whether a schedule_after( preceded by `prefix` on line `ln` starts
+    a statement, i.e. nothing receives the EventId it returns."""
+    start = max(prefix.rfind(c) for c in ";{}")
+    if not DISCARDED_CALL_PREFIX_RE.match(prefix[start + 1:]):
+        return False
+    if start >= 0:
+        return True
+    for row in range(ln - 2, -1, -1):
+        previous = code_lines[row].strip()
+        if previous:
+            return bool(STATEMENT_END_RE.search(previous))
+    return True
+
+
 def decls_for(path, cache, kind):
     """Declared names of `kind` in `path` and its .hpp/.cpp twin."""
     names = set()
@@ -268,7 +315,25 @@ def lint_file(root, rel, decl_cache, violations):
     reader_rule = in_src and not rel.startswith("src/serialize/")
     reader_names = decls_for(rel, decl_cache, "reader") if reader_rule else set()
 
+    line_offsets = []
+    offset = 0
+    for line in code_lines:
+        line_offsets.append(offset)
+        offset += len(line) + 1
+
     for ln, line in enumerate(code_lines, 1):
+        if in_src:
+            for m in SCHEDULE_RE.finditer(line):
+                if (discards_event_id(code_lines, ln, line[:m.start()])
+                        and CAPTURES_THIS_RE.search(
+                            call_args(code, line_offsets[ln - 1] + m.end() - 1))
+                        and not allowed(allows, ln, "untracked-timer")):
+                    violations.append(Violation(
+                        rel, ln, "untracked-timer",
+                        "schedule_after() captures `this` but discards its "
+                        "EventId — nothing cancels it if the owner dies first; "
+                        "keep the id and cancel it on teardown"))
+
         if not clock_exempt:
             m = WALL_CLOCK_RE.search(line)
             if m and not allowed(allows, ln, "wall-clock"):
@@ -573,6 +638,43 @@ SELF_TEST_CASES = [
      "long stamp() { return std::chrono::steady_clock::now().time_since_epoch().count(); }\n"
      "unsigned long span_id() { std::random_device rd; return rd(); }\n",
      {"wall-clock", "raw-random"}),
+    # Untracked timers: a discarded EventId with `this` captured fires,
+    # on one line, across lines, and through an implicit capture default.
+    ("src/discovery/untracked_timer.cpp",
+     "void S::f() { stack_.schedule_after(5, [this] { g(); }); }\n",
+     {"untracked-timer"}),
+    ("src/milan/untracked_timer_multiline.cpp",
+     "void S::h() {\n"
+     "  transport_.router().stack().schedule_after(\n"
+     "      0, [this, id] { g(id); });\n"
+     "}\n",
+     {"untracked-timer"}),
+    ("src/net/untracked_timer_default_capture.cpp",
+     "void S::k() {\n"
+     "  (void)sim_.schedule_after(0, [&] { g(); });\n"
+     "}\n",
+     {"untracked-timer"}),
+    # Kept ids, returned ids, declarations, `this`-free callbacks and a
+    # reasoned allow() stay silent.
+    ("src/discovery/tracked_timer.cpp",
+     "EventId schedule_after(Time delay, std::function<void()> fn) override;\n"
+     "void S::f() { timer_ = stack_.schedule_after(5, [this] { g(); }); }\n"
+     "void S::h() {\n"
+     "  timer_ =\n"
+     "      stack_.schedule_after(5, [this] { g(); });\n"
+     "  pending_.push_back(sim_.schedule_after(0, [this] { g(); }));\n"
+     "  stack_.schedule_after(0, [cb = std::move(cb)]() mutable { cb(); });\n"
+     "}\n"
+     "EventId S::k() { return sim_.schedule_after(1, [this] { g(); }); }\n"
+     "void S::m() {\n"
+     "  // ndsm-lint: allow(untracked-timer): the owner outlives the simulator run\n"
+     "  sim_.schedule_after(0, [this] { g(); });\n"
+     "}\n",
+     set()),
+    # The rule covers src/ only.
+    ("tests/untracked_timer_test.cpp",
+     "void f(S& s) { s.stack.schedule_after(0, [this] { g(); }); }\n",
+     set()),
 ]
 
 SELF_TEST_HEADERS = {

@@ -10,7 +10,10 @@ namespace ndsm::discovery {
 CentralizedDiscovery::CentralizedDiscovery(transport::ReliableTransport& transport,
                                            std::vector<NodeId> directories,
                                            MirrorPolicy policy)
-    : transport_(transport), directories_(std::move(directories)), policy_(policy) {
+    : transport_(transport),
+      directories_(std::move(directories)),
+      policy_(policy),
+      pending_(transport.router().stack()) {
   assert(!directories_.empty());
   // Stagger round-robin start positions across clients so synchronized
   // query waves do not all land on the same mirror.
@@ -26,10 +29,6 @@ CentralizedDiscovery::~CentralizedDiscovery() {
   // ndsm-lint: allow(unordered-iter): cancel order is irrelevant — cancel() is an O(1) tombstone with no observable ordering effect
   for (auto& [id, reg] : registered_) {
     if (reg.renewal.valid()) stack.cancel(reg.renewal);
-  }
-  // ndsm-lint: allow(unordered-iter): cancel order is irrelevant — cancel() is an O(1) tombstone with no observable ordering effect
-  for (auto& [id, pending] : pending_) {
-    if (pending.timer.valid()) stack.cancel(pending.timer);
   }
 }
 
@@ -102,7 +101,6 @@ void CentralizedDiscovery::unregister_service(ServiceId id) {
 
 void CentralizedDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback callback,
                                  std::uint32_t max_results, Time timeout) {
-  auto& stack = transport_.router().stack();
   const std::uint64_t query_id = next_query_++;
   stats_.queries_issued++;
 
@@ -130,16 +128,10 @@ void CentralizedDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback
                          {"type", msg.consumer.service_type}});
   }
 
-  PendingQuery pending;
-  pending.callback = std::move(callback);
-  pending.trace = ctx;
-  pending.timer = stack.schedule_after(timeout, [this, query_id] {
-    const auto it = pending_.find(query_id);
-    if (it == pending_.end()) return;
-    auto cb = std::move(it->second.callback);
-    const obs::TraceContext qctx = it->second.trace;
-    pending_.erase(it);
-    stats_.queries_empty++;
+  pending_.open(query_id, PendingQuery{std::move(callback), ctx}, timeout, [this, query_id] {
+    auto pending = pending_.close(query_id);  // open until now: the timer fired
+    count_answer(0);
+    const obs::TraceContext qctx = pending->trace;
     obs::Tracer& tr = obs::Tracer::instance();
     if (tr.enabled()) {
       tr.event_traced("discovery.centralized", "query_timeout",
@@ -148,9 +140,8 @@ void CentralizedDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback
                       {{"query_id", std::to_string(query_id)}});
     }
     const obs::ScopedTrace scope(qctx);
-    cb({});
+    pending->callback({});
   });
-  pending_.emplace(query_id, std::move(pending));
 
   const obs::ScopedTrace scope(ctx);
   transport_.send(pick_directory(), transport::ports::kDiscovery, encode_query(msg));
@@ -166,18 +157,10 @@ void CentralizedDiscovery::on_message(NodeId /*src*/, const Bytes& frame) {
     case MsgKind::kQueryReply: {
       auto reply = decode_query_reply(r);
       if (!reply) return;
-      const auto it = pending_.find(reply->query_id);
-      if (it == pending_.end()) return;  // late reply after timeout
-      if (it->second.timer.valid()) transport_.router().stack().cancel(it->second.timer);
-      auto cb = std::move(it->second.callback);
-      const obs::TraceContext qctx = it->second.trace;
-      pending_.erase(it);
-      stats_.records_received += reply->records.size();
-      if (reply->records.empty()) {
-        stats_.queries_empty++;
-      } else {
-        stats_.queries_answered++;
-      }
+      auto pending = pending_.close(reply->query_id);
+      if (!pending) return;  // late reply after timeout
+      const obs::TraceContext qctx = pending->trace;
+      count_answer(reply->records.size());
       obs::Tracer& tracer = obs::Tracer::instance();
       if (tracer.enabled() && qctx.valid()) {
         // Parent on the directory's serve span when the reply carries it,
@@ -190,7 +173,7 @@ void CentralizedDiscovery::on_message(NodeId /*src*/, const Bytes& frame) {
                              {"records", std::to_string(reply->records.size())}});
       }
       const obs::ScopedTrace scope(qctx);
-      cb(std::move(reply->records));
+      pending->callback(std::move(reply->records));
       break;
     }
     case MsgKind::kRegisterAck:

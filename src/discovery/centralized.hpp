@@ -9,6 +9,7 @@
 #include "discovery/messages.hpp"
 #include "discovery/service_discovery.hpp"
 #include "transport/reliable.hpp"
+#include "transport/request_table.hpp"
 
 namespace ndsm::discovery {
 
@@ -41,7 +42,6 @@ class CentralizedDiscovery : public ServiceDiscovery {
   };
   struct PendingQuery {
     QueryCallback callback;
-    EventId timer = EventId::invalid();
     // Query span context, bridging the async gap to the reply/timeout.
     obs::TraceContext trace;
   };
@@ -57,7 +57,7 @@ class CentralizedDiscovery : public ServiceDiscovery {
   std::uint32_t next_service_ = 1;
   std::uint64_t next_query_ = 1;
   std::unordered_map<ServiceId, Registration> registered_;
-  std::unordered_map<std::uint64_t, PendingQuery> pending_;
+  transport::RequestTable<PendingQuery> pending_;
 };
 
 }  // namespace ndsm::discovery

@@ -81,7 +81,8 @@ class DirectoryServer {
   DirectoryStats stats_;
   Time processing_time_ = 0;
   std::deque<QueryMessage> query_queue_;
-  bool query_busy_ = false;
+  // The armed serve-next-query event; valid while a query is in service.
+  EventId drain_ = EventId::invalid();
   net::PeriodicTimer sweeper_;
 };
 

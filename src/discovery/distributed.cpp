@@ -6,6 +6,7 @@ DistributedDiscovery::DistributedDiscovery(transport::ReliableTransport& transpo
                                            DistributedConfig config)
     : transport_(transport),
       config_(config),
+      pending_(transport.router().stack()),
       advertiser_(transport.router().stack(),
                   config.advertise_period > 0 ? config.advertise_period
                                               : duration::seconds(1),
@@ -26,11 +27,6 @@ DistributedDiscovery::DistributedDiscovery(transport::ReliableTransport& transpo
 DistributedDiscovery::~DistributedDiscovery() {
   transport_.router().clear_delivery_handler(routing::Proto::kDiscovery);
   transport_.clear_receiver(transport::ports::kDiscoveryReplyDist);
-  auto& stack = transport_.router().stack();
-  // ndsm-lint: allow(unordered-iter): cancel order is irrelevant — cancel() is an O(1) tombstone with no observable ordering effect
-  for (auto& [id, pending] : pending_) {
-    if (pending.timer.valid()) stack.cancel(pending.timer);
-  }
 }
 
 ServiceId DistributedDiscovery::register_service(qos::SupplierQos qos, Time lease) {
@@ -111,8 +107,7 @@ void DistributedDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback
     auto out = match(consumer, max_results, /*with_cache=*/true);
     if (!out.empty()) {
       // Deliver asynchronously (callers expect async).
-      stats_.queries_answered++;
-      stats_.records_received += out.size();
+      count_answer(out.size());
       stack.schedule_after(0, [cb = std::move(callback), out = std::move(out)]() mutable {
         cb(std::move(out));
       });
@@ -128,32 +123,20 @@ void DistributedDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback
   msg.consumer = consumer;
   msg.max_results = max_results;
 
-  PendingQuery pending;
-  pending.callback = std::move(callback);
-  pending.consumer = consumer;
-  pending.max_results = max_results;
-  pending.timer = stack.schedule_after(timeout, [this, query_id] { finish_query(query_id); });
-  pending_.emplace(query_id, std::move(pending));
+  pending_.open(query_id, PendingQuery{std::move(callback), consumer, max_results, {}},
+                timeout, [this, query_id] { finish_query(query_id); });
 
   transport_.router().flood(routing::Proto::kDiscovery, encode_query(msg));
 }
 
 void DistributedDiscovery::finish_query(std::uint64_t query_id) {
-  const auto it = pending_.find(query_id);
-  if (it == pending_.end()) return;
-  if (it->second.timer.valid()) transport_.router().stack().cancel(it->second.timer);
-  auto cb = std::move(it->second.callback);
+  auto pending = pending_.close(query_id);
+  if (!pending) return;
   std::vector<const ServiceRecord*> collected;
-  for (const auto& [id, rec] : it->second.collected) collected.push_back(&rec);
-  auto out = rank_matches(it->second.consumer, collected, it->second.max_results);
-  pending_.erase(it);
-  if (out.empty()) {
-    stats_.queries_empty++;
-  } else {
-    stats_.queries_answered++;
-  }
-  stats_.records_received += out.size();
-  cb(std::move(out));
+  for (const auto& [id, rec] : pending->collected) collected.push_back(&rec);
+  auto out = rank_matches(pending->consumer, collected, pending->max_results);
+  count_answer(out.size());
+  pending->callback(std::move(out));
 }
 
 void DistributedDiscovery::on_flood(NodeId origin, const Bytes& frame) {
@@ -199,12 +182,12 @@ void DistributedDiscovery::on_unicast(NodeId /*src*/, const Bytes& frame) {
   (void)r.u8();
   auto reply = decode_query_reply(r);
   if (!reply) return;
-  const auto it = pending_.find(reply->query_id);
-  if (it == pending_.end()) return;  // late reply
+  PendingQuery* pending = pending_.find(reply->query_id);
+  if (pending == nullptr) return;  // late reply
   for (auto& rec : reply->records) {
-    it->second.collected.emplace(rec.id, std::move(rec));
+    pending->collected.emplace(rec.id, std::move(rec));
   }
-  if (it->second.collected.size() >= it->second.max_results) finish_query(reply->query_id);
+  if (pending->collected.size() >= pending->max_results) finish_query(reply->query_id);
 }
 
 }  // namespace ndsm::discovery

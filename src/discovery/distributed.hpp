@@ -6,12 +6,12 @@
 // answered locally when fresh cached matches exist.
 
 #include <map>
-#include <unordered_map>
 
 #include "discovery/messages.hpp"
 #include "discovery/service_discovery.hpp"
 #include "routing/router.hpp"
 #include "transport/reliable.hpp"
+#include "transport/request_table.hpp"
 
 namespace ndsm::discovery {
 
@@ -43,7 +43,6 @@ class DistributedDiscovery : public ServiceDiscovery {
     qos::ConsumerQos consumer;  // ranks the collected replies
     std::uint32_t max_results = 0;
     std::map<ServiceId, ServiceRecord> collected;
-    EventId timer = EventId::invalid();
   };
 
   void on_flood(NodeId origin, const Bytes& frame);     // queries & advertisements
@@ -64,7 +63,7 @@ class DistributedDiscovery : public ServiceDiscovery {
   std::map<ServiceId, ServiceRecord> local_;
   std::map<ServiceId, Time> local_lease_;  // for automatic renewal
   std::map<ServiceId, ServiceRecord> cache_;  // from advertisements
-  std::unordered_map<std::uint64_t, PendingQuery> pending_;
+  transport::RequestTable<PendingQuery> pending_;
   net::PeriodicTimer advertiser_;
 };
 

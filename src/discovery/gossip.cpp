@@ -133,12 +133,7 @@ void GossipDiscovery::query(const qos::ConsumerQos& consumer, QueryCallback call
                             std::uint32_t max_results, Time /*timeout*/) {
   stats_.queries_issued++;
   auto results = match_known(consumer, max_results);
-  if (results.empty()) {
-    stats_.queries_empty++;
-  } else {
-    stats_.queries_answered++;
-  }
-  stats_.records_received += results.size();
+  count_answer(results.size());
   // Asynchronous delivery, like every other discovery mode.
   transport_.router().stack().schedule_after(
       0, [cb = std::move(callback), results = std::move(results)]() mutable {

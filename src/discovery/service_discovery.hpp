@@ -57,6 +57,12 @@ class ServiceDiscovery {
     metrics_.counter(prefix + ".records_received", &stats_.records_received);
   }
 
+  // Book a finished query that returned `records` records (0 = empty).
+  void count_answer(std::size_t records) {
+    (records == 0 ? stats_.queries_empty : stats_.queries_answered)++;
+    stats_.records_received += records;
+  }
+
   DiscoveryStats stats_;
   obs::MetricGroup metrics_;
 };

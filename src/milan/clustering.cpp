@@ -29,11 +29,13 @@ void ClusterManager::start() {
     if (chained_death_) chained_death_(node);
     // Defer the re-election: deaths can occur *inside* flush_heads() (a
     // head's battery dies on its own transmit), and elect() mutates the
-    // structures flush is iterating.
+    // structures flush is iterating. Zero-delay events fire in scheduling
+    // order, so the one firing is always the front of reelections_.
     if (running_ && is_head(node)) {
-      world_.sim().schedule_after(0, [this] {
-        if (running_) elect();
-      });
+      reelections_.push_back(world_.sim().schedule_after(0, [this] {
+        reelections_.pop_front();
+        elect();
+      }));
     }
   });
   elect();
@@ -46,6 +48,8 @@ void ClusterManager::stop() {
   running_ = false;
   round_timer_.stop();
   frame_timer_.stop();
+  for (const EventId id : reelections_) world_.sim().cancel(id);
+  reelections_.clear();
 }
 
 void ClusterManager::elect() {

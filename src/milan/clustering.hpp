@@ -12,6 +12,7 @@
 // to the sink. Head rotation spreads the expensive aggregate-and-forward
 // role across the field.
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <vector>
@@ -75,6 +76,8 @@ class ClusterManager {
   bool running_ = false;
 
   net::World::DeathHandler chained_death_;
+  // Deferred re-elections after a head died; stop() cancels them.
+  std::deque<EventId> reelections_;
   std::vector<NodeId> heads_;
   std::map<NodeId, NodeId> assignment_;     // member -> head
   std::map<NodeId, std::uint32_t> buffers_; // head -> samples this frame

@@ -384,6 +384,7 @@ void World::charge_rx(NodeId dst, const LinkSpec& spec, std::size_t wire_bytes) 
 }
 
 void World::deliver(NodeId dst, LinkFrame frame, Time delay, std::size_t wire_bytes) {
+  // ndsm-lint: allow(untracked-timer): frames in flight belong to the World, which every harness destroys only after its last simulator run
   sim_.schedule_after(delay, [this, dst, frame = std::move(frame), wire_bytes]() {
     Node& receiver = node(dst);
     if (!receiver.alive) return;
@@ -399,6 +400,7 @@ void World::deliver(NodeId dst, LinkFrame frame, Time delay, std::size_t wire_by
 
 void World::deliver_broadcast(std::vector<NodeId> receivers, LinkFrame frame, Time delay,
                               std::size_t wire_bytes) {
+  // ndsm-lint: allow(untracked-timer): frames in flight belong to the World, which every harness destroys only after its last simulator run
   sim_.schedule_after(delay, [this, receivers = std::move(receivers),
                               frame = std::move(frame), wire_bytes]() {
     for (const NodeId dst : receivers) {
@@ -422,6 +424,7 @@ Status World::link_send(NodeId src, NodeId dst, Proto proto, Bytes payload) {
     // Loopback: deliver immediately with no wire cost.
     LinkFrame frame{src, dst, MediumId::invalid(), proto,
                     std::make_shared<const Bytes>(std::move(payload))};
+    // ndsm-lint: allow(untracked-timer): frames in flight belong to the World, which every harness destroys only after its last simulator run
     sim_.schedule_after(0, [this, dst, frame = std::move(frame)]() {
       Node& receiver = node(dst);
       if (!receiver.alive) return;

@@ -5,19 +5,12 @@
 namespace ndsm::scheduling {
 
 HandoffManager::HandoffManager(transport::ReliableTransport& transport)
-    : transport_(transport) {
+    : transport_(transport), pending_(transport.router().stack()) {
   transport_.set_receiver(transport::ports::kHandoff,
                           [this](NodeId src, const Bytes& b) { on_message(src, b); });
 }
 
-HandoffManager::~HandoffManager() {
-  transport_.clear_receiver(transport::ports::kHandoff);
-  auto& stack = transport_.router().stack();
-  // ndsm-lint: allow(unordered-iter): cancel order is irrelevant — cancel() is an O(1) tombstone with no observable ordering effect
-  for (auto& [id, pending] : pending_) {
-    if (pending.timer.valid()) stack.cancel(pending.timer);
-  }
-}
+HandoffManager::~HandoffManager() { transport_.clear_receiver(transport::ports::kHandoff); }
 
 void HandoffManager::register_session_type(const std::string& session_type,
                                            ResumeHandler handler) {
@@ -30,16 +23,11 @@ void HandoffManager::unregister_session_type(const std::string& session_type) {
 
 void HandoffManager::handoff(const std::string& session_type, Bytes state, NodeId target,
                              CompletionHandler done, Time timeout) {
-  auto& stack = transport_.router().stack();
   const std::uint64_t transfer_id = next_transfer_++;
   stats_.initiated++;
-
-  Pending pending;
-  pending.done = std::move(done);
-  pending.timer = stack.schedule_after(timeout, [this, transfer_id] {
+  pending_.open(transfer_id, std::move(done), timeout, [this, transfer_id] {
     finish(transfer_id, Status{ErrorCode::kTimeout, "handoff not acknowledged"});
   });
-  pending_.emplace(transfer_id, std::move(pending));
 
   serialize::Writer w;
   w.u8(static_cast<std::uint8_t>(Kind::kTransfer));
@@ -50,17 +38,14 @@ void HandoffManager::handoff(const std::string& session_type, Bytes state, NodeI
 }
 
 void HandoffManager::finish(std::uint64_t transfer_id, Status status) {
-  const auto it = pending_.find(transfer_id);
-  if (it == pending_.end()) return;
-  if (it->second.timer.valid()) transport_.router().stack().cancel(it->second.timer);
-  auto done = std::move(it->second.done);
-  pending_.erase(it);
+  auto done = pending_.close(transfer_id);
+  if (!done) return;
   if (status.is_ok()) {
     stats_.completed++;
   } else {
     stats_.failed++;
   }
-  if (done) done(status);
+  if (*done) (*done)(status);
 }
 
 void HandoffManager::on_message(NodeId src, const Bytes& frame) {

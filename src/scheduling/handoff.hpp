@@ -16,6 +16,7 @@
 #include <unordered_map>
 
 #include "transport/reliable.hpp"
+#include "transport/request_table.hpp"
 
 namespace ndsm::scheduling {
 
@@ -55,17 +56,13 @@ class HandoffManager {
 
  private:
   enum class Kind : std::uint8_t { kTransfer = 1, kAccept = 2, kReject = 3 };
-  struct Pending {
-    CompletionHandler done;
-    EventId timer = EventId::invalid();
-  };
 
   void on_message(NodeId src, const Bytes& frame);
   void finish(std::uint64_t transfer_id, Status status);
 
   transport::ReliableTransport& transport_;
   std::unordered_map<std::string, ResumeHandler> handlers_;
-  std::unordered_map<std::uint64_t, Pending> pending_;
+  transport::RequestTable<CompletionHandler> pending_;
   std::uint64_t next_transfer_ = 1;
   HandoffStats stats_;
 };

@@ -4,19 +4,13 @@
 
 namespace ndsm::transactions {
 
-RpcEndpoint::RpcEndpoint(transport::ReliableTransport& transport) : transport_(transport) {
+RpcEndpoint::RpcEndpoint(transport::ReliableTransport& transport)
+    : transport_(transport), pending_(transport.router().stack()) {
   transport_.set_receiver(transport::ports::kRpc,
                           [this](NodeId src, const Bytes& b) { on_message(src, b); });
 }
 
-RpcEndpoint::~RpcEndpoint() {
-  transport_.clear_receiver(transport::ports::kRpc);
-  auto& stack = transport_.router().stack();
-  // ndsm-lint: allow(unordered-iter): cancel order is irrelevant — cancel() is an O(1) tombstone with no observable ordering effect
-  for (auto& [id, pending] : pending_) {
-    if (pending.timer.valid()) stack.cancel(pending.timer);
-  }
-}
+RpcEndpoint::~RpcEndpoint() { transport_.clear_receiver(transport::ports::kRpc); }
 
 void RpcEndpoint::register_method(const std::string& name, Handler handler) {
   methods_[name] = std::move(handler);
@@ -26,17 +20,12 @@ void RpcEndpoint::unregister_method(const std::string& name) { methods_.erase(na
 
 void RpcEndpoint::call(NodeId server, const std::string& method, Bytes args,
                        ResponseCallback callback, Time timeout) {
-  auto& stack = transport_.router().stack();
   const std::uint64_t request_id = next_request_++;
   stats_.calls_sent++;
-
-  Pending pending;
-  pending.callback = std::move(callback);
-  pending.timer = stack.schedule_after(timeout, [this, request_id] {
+  pending_.open(request_id, std::move(callback), timeout, [this, request_id] {
     stats_.timeouts++;
     finish(request_id, Status{ErrorCode::kTimeout, "rpc timeout"});
   });
-  pending_.emplace(request_id, std::move(pending));
 
   serialize::Writer w;
   w.u8(static_cast<std::uint8_t>(Kind::kRequest));
@@ -47,12 +36,7 @@ void RpcEndpoint::call(NodeId server, const std::string& method, Bytes args,
 }
 
 void RpcEndpoint::finish(std::uint64_t request_id, Result<Bytes> result) {
-  const auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;
-  if (it->second.timer.valid()) transport_.router().stack().cancel(it->second.timer);
-  auto cb = std::move(it->second.callback);
-  pending_.erase(it);
-  cb(std::move(result));
+  if (auto cb = pending_.close(request_id)) (*cb)(std::move(result));
 }
 
 void RpcEndpoint::on_message(NodeId src, const Bytes& frame) {

@@ -116,30 +116,24 @@ void TupleSpaceServer::on_message(NodeId src, const Bytes& frame) {
 }
 
 TupleSpaceClient::TupleSpaceClient(transport::ReliableTransport& transport, NodeId server)
-    : transport_(transport), server_(server) {
+    : transport_(transport), server_(server), pending_(transport.router().stack()) {
   transport_.set_receiver(transport::ports::kTupleSpace,
                           [this](NodeId src, const Bytes& b) { on_message(src, b); });
 }
 
 TupleSpaceClient::~TupleSpaceClient() {
   transport_.clear_receiver(transport::ports::kTupleSpace);
-  auto& stack = transport_.router().stack();
-  // ndsm-lint: allow(unordered-iter): cancel order is irrelevant — cancel() is an O(1) tombstone with no observable ordering effect
-  for (auto& [id, pending] : pending_) {
-    if (pending.timer.valid()) stack.cancel(pending.timer);
-  }
 }
 
 void TupleSpaceClient::out(const Tuple& tuple, std::function<void(Status)> done) {
   const std::uint64_t request_id = next_request_++;
   if (done) {
-    Pending pending;
-    pending.callback = [done = std::move(done)](bool found, Tuple) {
-      done(found ? Status::ok() : Status{ErrorCode::kTimeout, "out not acknowledged"});
-    };
-    pending.timer = transport_.router().stack().schedule_after(
+    pending_.open(
+        request_id,
+        [done = std::move(done)](bool found, Tuple) {
+          done(found ? Status::ok() : Status{ErrorCode::kTimeout, "out not acknowledged"});
+        },
         duration::seconds(5), [this, request_id] { finish(request_id, false, {}); });
-    pending_.emplace(request_id, std::move(pending));
   }
   serialize::Writer w;
   w.u8(static_cast<std::uint8_t>(Kind::kOut));
@@ -161,20 +155,16 @@ void TupleSpaceClient::in(const Tuple& tmpl, TupleCallback callback, bool blocki
 void TupleSpaceClient::request(const Tuple& tmpl, bool take, bool blocking, Time timeout,
                                TupleCallback callback) {
   const std::uint64_t request_id = next_request_++;
-  Pending pending;
-  pending.callback = std::move(callback);
-  pending.timer = transport_.router().stack().schedule_after(
-      timeout, [this, request_id, blocking] {
-        if (blocking) {
-          // Tell the server to drop the parked request.
-          serialize::Writer w;
-          w.u8(static_cast<std::uint8_t>(Kind::kCancel));
-          w.varint(request_id);
-          transport_.send(server_, transport::ports::kTupleSpace, std::move(w).take());
-        }
-        finish(request_id, false, {});
-      });
-  pending_.emplace(request_id, std::move(pending));
+  pending_.open(request_id, std::move(callback), timeout, [this, request_id, blocking] {
+    if (blocking) {
+      // Tell the server to drop the parked request.
+      serialize::Writer w;
+      w.u8(static_cast<std::uint8_t>(Kind::kCancel));
+      w.varint(request_id);
+      transport_.send(server_, transport::ports::kTupleSpace, std::move(w).take());
+    }
+    finish(request_id, false, {});
+  });
 
   serialize::Writer w;
   w.u8(static_cast<std::uint8_t>(take ? Kind::kIn : Kind::kRd));
@@ -185,12 +175,7 @@ void TupleSpaceClient::request(const Tuple& tmpl, bool take, bool blocking, Time
 }
 
 void TupleSpaceClient::finish(std::uint64_t request_id, bool found, Tuple tuple) {
-  const auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;
-  if (it->second.timer.valid()) transport_.router().stack().cancel(it->second.timer);
-  auto cb = std::move(it->second.callback);
-  pending_.erase(it);
-  cb(found, std::move(tuple));
+  if (auto cb = pending_.close(request_id)) (*cb)(found, std::move(tuple));
 }
 
 void TupleSpaceClient::on_message(NodeId /*src*/, const Bytes& frame) {

@@ -8,10 +8,10 @@
 #include <deque>
 #include <functional>
 #include <list>
-#include <unordered_map>
 
 #include "serialize/value.hpp"
 #include "transport/reliable.hpp"
+#include "transport/request_table.hpp"
 
 namespace ndsm::transactions {
 
@@ -77,11 +77,6 @@ class TupleSpaceClient {
           Time timeout = duration::seconds(2));
 
  private:
-  struct Pending {
-    TupleCallback callback;
-    EventId timer = EventId::invalid();
-  };
-
   void request(const Tuple& tmpl, bool take, bool blocking, Time timeout,
                TupleCallback callback);
   void on_message(NodeId src, const Bytes& frame);
@@ -90,7 +85,7 @@ class TupleSpaceClient {
   transport::ReliableTransport& transport_;
   NodeId server_;
   std::uint64_t next_request_ = 1;
-  std::unordered_map<std::uint64_t, Pending> pending_;
+  transport::RequestTable<TupleCallback> pending_;
 };
 
 }  // namespace ndsm::transactions

@@ -14,7 +14,8 @@ namespace ndsm::transport {
 ReliableTransport::ReliableTransport(Router& router, TransportConfig config)
     : router_(router), config_(config), rtt_ms_(register_metrics()),
       epoch_(router.stack().incarnation_epoch()),
-      trace_ids_(router.self(), epoch_) {
+      trace_ids_(router.self(), epoch_),
+      local_(router.stack()) {
   assert(config_.max_fragment_bytes > 0);
   router_.set_delivery_handler(
       routing::Proto::kTransport,
@@ -85,20 +86,23 @@ Status ReliableTransport::send(NodeId dst, Port port, Bytes payload, CompletionH
   ctx.trace_id = parent.valid() ? parent.trace_id : ctx.span_id;
   if (dst == self()) {
     // Local delivery: immediate, always succeeds.
-    router_.stack().schedule_after(0, [this, port, ctx, payload = std::move(payload),
-                                              done = std::move(done)]() {
+    const std::uint64_t local_id = next_local_id_++;
+    LocalDelivery entry{port, ctx, std::move(payload), std::move(done)};
+    local_.open(local_id, std::move(entry), 0, [this, local_id] {
+      auto local = local_.close(local_id);  // open until now: the timer fired
       stats_.messages_delivered++;
-      stats_.payload_bytes_delivered += payload.size();
+      stats_.payload_bytes_delivered += local->payload.size();
       obs::Tracer& tracer = obs::Tracer::instance();
       if (tracer.enabled()) {
         tracer.event_traced("transport", "deliver_local",
-                            static_cast<std::int64_t>(self().value()), ctx.trace_id,
-                            ctx.span_id, 0, {{"port", std::string(ports::name(port))}});
+                            static_cast<std::int64_t>(self().value()), local->trace.trace_id,
+                            local->trace.span_id, 0,
+                            {{"port", std::string(ports::name(local->port))}});
       }
-      const obs::ScopedTrace scope(ctx);
-      const auto it = receivers_.find(port);
-      if (it != receivers_.end()) it->second(self(), payload);
-      if (done) done(Status::ok());
+      const obs::ScopedTrace scope(local->trace);
+      const auto it = receivers_.find(local->port);
+      if (it != receivers_.end()) it->second(self(), local->payload);
+      if (local->done) local->done(Status::ok());
     });
     return Status::ok();
   }

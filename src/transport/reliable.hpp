@@ -33,6 +33,7 @@
 #include "routing/router.hpp"
 #include "serialize/codec.hpp"
 #include "transport/ports.hpp"
+#include "transport/request_table.hpp"
 
 namespace ndsm::transport {
 
@@ -137,6 +138,13 @@ class ReliableTransport {
     std::uint64_t parent_span = 0;
   };
 
+  struct LocalDelivery {  // a send to self, awaiting its zero-delay event
+    Port port;
+    obs::TraceContext trace;
+    Bytes payload;
+    CompletionHandler done;
+  };
+
   struct InMessage {
     std::vector<Bytes> fragments;
     std::vector<bool> have;
@@ -183,6 +191,10 @@ class ReliableTransport {
   obs::TraceIdAllocator trace_ids_;
   std::uint64_t next_msg_id_ = 1;
   std::unordered_map<std::uint64_t, OutMessage> outbox_;
+  // Sends to self in flight (ids are not wire ids): destroying the
+  // transport cancels them, so `done` never fires for a dead transport.
+  RequestTable<LocalDelivery> local_;
+  std::uint64_t next_local_id_ = 1;
   // Keyed by (src, msg_id).
   std::map<std::pair<NodeId, std::uint64_t>, InMessage> inbox_;
   struct CompletedWindow {

@@ -124,6 +124,50 @@ TEST(Centralized, QueryNoMatchReturnsEmpty) {
   EXPECT_TRUE(found.empty());
 }
 
+TEST(Centralized, QueryTimesOutWhenDirectoryDead) {
+  CentralizedSetup setup{2};
+  setup.server.reset();
+  setup.runtime(0).crash();
+  int calls = 0;
+  std::vector<ServiceRecord> found{ServiceRecord{}};
+  setup.clients[0]->query(wants(),
+                          [&](std::vector<ServiceRecord> recs) {
+                            calls++;
+                            found = recs;
+                          },
+                          8, duration::seconds(1));
+  setup.sim.run_until(duration::seconds(3));
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(found.empty());
+  const DiscoveryStats& stats = setup.clients[0]->stats();
+  EXPECT_EQ(stats.queries_empty, 1u);
+  EXPECT_EQ(stats.queries_answered, 0u);
+  EXPECT_EQ(stats.records_received, 0u);
+}
+
+// A directory destroyed with queries still queued behind its processing
+// time must cancel its serve event: the queries then end through the
+// client timeout, once each, instead of being served by a freed server.
+TEST(Centralized, QueuedQueriesTimeOutWhenDirectoryDestroyed) {
+  CentralizedSetup setup{2};
+  setup.server->set_processing_time(duration::millis(50));
+  std::vector<int> calls(3, 0);
+  for (std::size_t q = 0; q < calls.size(); ++q) {
+    setup.clients[0]->query(wants(),
+                            [&calls, q](std::vector<ServiceRecord> recs) {
+                              calls[q]++;
+                              EXPECT_TRUE(recs.empty());
+                            },
+                            8, duration::seconds(2));
+  }
+  setup.sim.run_until(duration::millis(20));
+  ASSERT_EQ(setup.server->stats().queries, 3u);
+  setup.server.reset();
+  setup.sim.run_until(duration::seconds(3));
+  EXPECT_EQ(calls, (std::vector<int>{1, 1, 1}));
+  EXPECT_EQ(setup.clients[0]->stats().queries_empty, 3u);
+}
+
 TEST(Centralized, UnregisterRemoves) {
   CentralizedSetup setup{2};
   const ServiceId id = setup.clients[0]->register_service(sensor_service(), kTimeNever);

@@ -6,9 +6,12 @@
 
 #include "discovery/centralized.hpp"
 #include "discovery/directory_server.hpp"
+#include "discovery/distributed.hpp"
 #include "obs/trace.hpp"
+#include "scheduling/handoff.hpp"
 #include "test_helpers.hpp"
 #include "transactions/rpc.hpp"
+#include "transactions/tuple_space.hpp"
 
 namespace ndsm::node {
 namespace {
@@ -105,6 +108,59 @@ TEST(NodeRuntime, SendWhileCrashedFailsCleanly) {
                         [&](Status s) { result = s; });
   lan.sim.run_until(duration::minutes(2));
   EXPECT_FALSE(result.is_ok());
+}
+
+// A send to self is a zero-delay event; crashing in the same instant
+// destroys the transport, which must cancel it rather than deliver into
+// (and complete on) freed state.
+TEST(NodeRuntime, CrashCancelsPendingSendToSelf) {
+  Lan lan{1};
+  Runtime& rt = lan.runtime(0);
+  bool delivered = false;
+  bool done = false;
+  rt.transport().set_receiver(transport::ports::kApp,
+                              [&](NodeId, const Bytes&) { delivered = true; });
+  ASSERT_TRUE(rt.transport()
+                  .send(rt.id(), transport::ports::kApp, to_bytes("self"),
+                        [&](Status) { done = true; })
+                  .is_ok());
+  rt.crash();
+  lan.sim.run_until(duration::seconds(1));
+  EXPECT_FALSE(delivered);
+  EXPECT_FALSE(done);
+}
+
+// Every request/response client dies with a request in flight (no peer
+// ever answers): its timeout timers die with it, so no callback fires.
+TEST(NodeRuntime, DestroyedClientsNeverCallBack) {
+  Lan lan{2};
+  transport::ReliableTransport& t = lan.transport(1);
+  const NodeId silent = lan.nodes[0];  // runs none of the servers
+  int callbacks = 0;
+  {
+    transactions::RpcEndpoint rpc{t};
+    transactions::TupleSpaceClient tuples{t, silent};
+    scheduling::HandoffManager handoff{t};
+    discovery::CentralizedDiscovery centralized{t, {silent}};
+    discovery::DistributedDiscovery distributed{t};
+    qos::ConsumerQos consumer;
+    consumer.service_type = "temperature";
+
+    rpc.call(silent, "echo", {}, [&](Result<Bytes>) { callbacks++; },
+             duration::seconds(1));
+    tuples.out({serialize::Value{1}}, [&](Status) { callbacks++; });
+    tuples.rd({serialize::Value{1}}, [&](bool, serialize::Tuple) { callbacks++; },
+              /*blocking=*/true, duration::seconds(1));
+    handoff.handoff("session", {}, silent, [&](Status) { callbacks++; },
+                    duration::seconds(1));
+    centralized.query(consumer, [&](std::vector<discovery::ServiceRecord>) { callbacks++; },
+                      8, duration::seconds(1));
+    distributed.query(consumer, [&](std::vector<discovery::ServiceRecord>) { callbacks++; },
+                      8, duration::seconds(1));
+    lan.sim.run_until(duration::millis(100));
+  }
+  lan.sim.run_until(duration::seconds(10));  // past every timeout, out()'s 5 s included
+  EXPECT_EQ(callbacks, 0);
 }
 
 // --- the service container --------------------------------------------------

@@ -5,6 +5,7 @@
 #include "net/faults.hpp"
 #include "test_helpers.hpp"
 #include "transport/reliable.hpp"
+#include "transport/request_table.hpp"
 
 namespace ndsm::transport {
 namespace {
@@ -116,6 +117,32 @@ TEST(Transport, SelfSendIsLocal) {
   lan.sim.run_until(duration::millis(10));
   EXPECT_EQ(to_string(got), "self");
   EXPECT_TRUE(completed);
+}
+
+TEST(RequestTable, CloseCancelsTheTimeoutAndLateClosesAreNullopt) {
+  Lan lan{1};
+  int timeouts = 0;
+  {
+    RequestTable<int> table{lan.router(0).stack()};
+    table.open(1, 10, duration::seconds(1), [&] { timeouts++; });
+    table.open(2, 20, duration::seconds(1), [&] {
+      timeouts++;
+      EXPECT_EQ(table.close(2), std::optional<int>{20});
+    });
+    table.open(3, 30, duration::seconds(3), [&] { timeouts++; });
+    ASSERT_NE(table.find(1), nullptr);
+    EXPECT_EQ(*table.find(1), 10);
+    EXPECT_EQ(table.close(1), std::optional<int>{10});
+    EXPECT_EQ(table.find(1), nullptr);
+    EXPECT_EQ(table.close(1), std::nullopt);  // late
+    EXPECT_EQ(table.close(9), std::nullopt);  // unknown
+    lan.sim.run_until(duration::seconds(2));
+    EXPECT_EQ(timeouts, 1);  // request 2 timed out; 1 was closed first
+    EXPECT_EQ(table.find(2), nullptr);
+    table.open(4, 40, duration::seconds(1), [&] { timeouts++; });
+  }  // destroying the table cancels the timers of 3 and 4
+  lan.sim.run_until(duration::seconds(5));
+  EXPECT_EQ(timeouts, 1);
 }
 
 TEST(Transport, RecoversFromHeavyLoss) {
